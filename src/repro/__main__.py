@@ -8,13 +8,15 @@ Commands
 ``speech "SENTENCE"``
     Synthesize a noisy word lattice from the sentence and run the
     speech parser over it.
-``experiments [IDS...] [--full] [--list] [--trace PATH]``
+``experiments [IDS...] [--full] [--list] [--backend B] [--out PATH]
+[--snapshot PATH] [--trace PATH] [--profile PATH]``
     Regenerate the paper's tables/figures and extension studies
     (including ``faultdeg``, the fault-injection degradation sweep,
-    and ``overload``, the serving-under-overload sweep);
-    same as ``python -m repro.experiments.runner``.  With ``--trace``
-    every simulation in the run is captured into one Perfetto file
-    (best with a single experiment id).
+    and ``overload``, the serving-under-overload sweep).  ``--trace``
+    captures every simulation in the run into one Perfetto file (best
+    with a single experiment id), ``--snapshot`` writes the runs'
+    numeric data as a drift-gate snapshot, and ``--profile`` writes
+    wall-clock folded stacks of the whole run.
 ``serve [--queries N] [--load X] [--fault-fraction F] [--trace PATH]``
     Drive the concurrent query-serving host layer with a synthetic
     arrival stream of inheritance queries and print the serving
@@ -33,6 +35,11 @@ Commands
     per-query latency attribution, measured α/β, structural
     anomalies, and (with ``--compare``) the metric-drift gate against
     a golden snapshot — exits non-zero on drift beyond tolerance.
+``monitor WORKLOAD [--full] [--compare golden.json] [--check] [--mute R]``
+    Replay ``chaos`` or ``fleetchaos`` under the live SLO monitor:
+    windowed telemetry, burn-rate alerts, an ops timeline report, and
+    detection scoring against the injected faults (``--check`` exits
+    1 when a fault is missed).  See ``docs/OBSERVABILITY.md``.
 ``bench [WORKLOADS...] [--smoke] [--backend B] [--out BENCH_PERF.json]``
     Measure wall-clock events/sec of the simulator hot paths: the
     propagate-heavy, fault-recovery, overload-serving, and
@@ -56,13 +63,38 @@ Commands
     gate.
 ``info``
     Print the machine configuration and knowledge-base statistics.
+
+``experiments``, ``trace``, ``analyze``, ``monitor``, ``bench`` and
+``perf`` hand their arguments unchanged to the owning module's
+``main`` (``python -m repro SUB --help`` lists that parser's options),
+so ``python -m repro experiments`` and ``python -m
+repro.experiments.runner`` are one parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Optional, Sequence
+
+
+#: Subcommand -> (module whose ``main(argv)`` owns it, help line).
+FORWARDED = {
+    "experiments": ("repro.experiments.runner",
+                    "regenerate paper artifacts"),
+    "trace": ("repro.obs.capture", "capture a workload as a Perfetto trace"),
+    "analyze": ("repro.obs.analyze",
+                "critical paths, latency attribution, drift gate on a trace"),
+    "monitor": ("repro.obs.live.cli",
+                "live SLO monitor: windowed telemetry, burn-rate alerts, "
+                "ground-truth detection scoring"),
+    "bench": ("repro.bench",
+              "wall-clock events/sec on the simulator hot paths"),
+    "perf": ("repro.obs.perf.cli",
+             "wall-clock observatory: sampling profiler + bench-history "
+             "regression gate"),
+}
 
 
 def _build(kb_nodes: int):
@@ -117,39 +149,6 @@ def cmd_speech(args) -> int:
     return 0 if result.winner else 1
 
 
-def cmd_experiments(args) -> int:
-    """Handle the `experiments` subcommand."""
-    from repro.experiments.runner import main as runner_main
-
-    argv = list(args.ids)
-    if args.full:
-        argv.append("--full")
-    if args.backend:
-        argv.extend(["--backend", args.backend])
-    if args.out:
-        argv.extend(["--out", args.out])
-    if args.profile:
-        argv.extend(["--profile", args.profile])
-    if args.list:
-        argv.append("--list")
-    if not args.trace:
-        return runner_main(argv)
-    # Install a process-global tracer so every nested simulation the
-    # selected experiments start is captured, without threading a
-    # tracer through each experiment's signature.
-    from repro.obs import Tracer, set_tracer, write_chrome_json
-
-    tracer = Tracer()
-    set_tracer(tracer)
-    try:
-        code = runner_main(argv)
-    finally:
-        set_tracer(None)
-    write_chrome_json(args.trace, tracer)
-    print(f"wrote {args.trace} ({tracer.num_events} trace events)")
-    return code
-
-
 def cmd_serve(args) -> int:
     """Handle the `serve` subcommand."""
     from repro.experiments.overload import (
@@ -195,81 +194,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    """Handle the `trace` subcommand."""
-    from repro.obs.capture import main as capture_main
-
-    argv = [args.workload, "--out", args.out]
-    if args.smoke:
-        argv.append("--smoke")
-    if args.metrics_out:
-        argv.extend(["--metrics-out", args.metrics_out])
-    return capture_main(argv)
-
-
-def cmd_analyze(args) -> int:
-    """Handle the `analyze` subcommand."""
-    from repro.obs.analyze import main as analyze_main
-
-    argv = [args.trace]
-    if args.report:
-        argv.extend(["--report", args.report])
-    if args.json:
-        argv.extend(["--json", args.json])
-    if args.compare:
-        argv.extend(["--compare", args.compare])
-    if args.snapshot_out:
-        argv.extend(["--snapshot-out", args.snapshot_out])
-    return analyze_main(argv)
-
-
-def cmd_monitor(args) -> int:
-    """Handle the `monitor` subcommand."""
-    from repro.obs.live.cli import main as monitor_main
-
-    argv = [args.workload]
-    if args.full:
-        argv.append("--full")
-    if args.from_trace:
-        argv.extend(["--from-trace", args.from_trace])
-    if args.report:
-        argv.extend(["--report", args.report])
-    if args.json:
-        argv.extend(["--json", args.json])
-    if args.compare:
-        argv.extend(["--compare", args.compare])
-    if args.check:
-        argv.append("--check")
-    if args.mute:
-        argv.extend(["--mute", args.mute])
-    return monitor_main(argv)
-
-
-def cmd_bench(args) -> int:
-    """Handle the `bench` subcommand."""
-    from repro.bench import main as bench_main
-
-    argv = list(args.workloads)
-    if args.smoke:
-        argv.append("--smoke")
-    if args.backend:
-        argv.extend(["--backend", args.backend])
-    argv.extend(["--out", args.out])
-    if args.snapshot:
-        argv.extend(["--snapshot", args.snapshot])
-    argv.extend(["--history", args.history])
-    if args.no_history:
-        argv.append("--no-history")
-    return bench_main(argv)
-
-
-def cmd_perf(args) -> int:
-    """Handle the `perf` subcommand (profile / check)."""
-    from repro.obs.perf.cli import main as perf_main
-
-    return perf_main(args.perf_args)
-
-
 def cmd_info(args) -> int:
     """Handle the `info` subcommand."""
     from repro.machine import snap1_16cluster, snap1_full
@@ -311,22 +235,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--confusability", type=float, default=0.8)
     p.set_defaults(fn=cmd_speech)
 
-    p = sub.add_parser("experiments", help="regenerate paper artifacts")
-    p.add_argument("ids", nargs="*")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--backend", default=None,
-                   choices=["python", "vectorized"],
-                   help="process-wide propagation backend for all "
-                        "functional-engine runs")
-    p.add_argument("--out")
-    p.add_argument("--list", action="store_true",
-                   help="list experiment ids and exit")
-    p.add_argument("--trace", metavar="PATH",
-                   help="capture every simulation into a Perfetto trace")
-    p.add_argument("--profile", metavar="PATH",
-                   help="write wall-clock folded stacks of the whole run")
-    p.set_defaults(fn=cmd_experiments)
-
     p = sub.add_parser(
         "serve", help="run the concurrent query-serving host layer"
     )
@@ -348,103 +256,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    help="write a Perfetto trace of the serving run")
     p.set_defaults(fn=cmd_serve)
 
-    p = sub.add_parser(
-        "trace", help="capture a workload as a Perfetto trace"
-    )
-    p.add_argument("workload",
-                   choices=["propagate", "faults", "overload", "chaos",
-                            "fleetchaos"],
-                   help="scenario to capture")
-    p.add_argument("--out", default="trace.json",
-                   help="output path (default: trace.json)")
-    p.add_argument("--smoke", action="store_true",
-                   help="small sizes for CI smoke runs")
-    p.add_argument("--metrics-out", metavar="PATH",
-                   help="also dump the metrics registry as standalone JSON")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser(
-        "analyze",
-        help="critical paths, latency attribution, drift gate on a trace",
-    )
-    p.add_argument("trace",
-                   help="trace JSON from `trace`/`serve` (or a metrics "
-                        "snapshot JSON for drift-only checks)")
-    p.add_argument("--report", metavar="PATH",
-                   help="write the markdown report here (default: stdout)")
-    p.add_argument("--json", metavar="PATH",
-                   help="also write the analysis record as JSON")
-    p.add_argument("--compare", metavar="GOLDEN",
-                   help="golden snapshot; exit 1 on drift beyond tolerance")
-    p.add_argument("--snapshot-out", metavar="PATH",
-                   help="write this run's metrics snapshot")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser(
-        "monitor",
-        help="live SLO monitor: windowed telemetry, burn-rate alerts, "
-             "ground-truth detection scoring",
-    )
-    p.add_argument("workload", choices=["chaos", "fleetchaos"],
-                   help="workload to replay under the monitor")
-    p.add_argument("--full", action="store_true",
-                   help="full-size run (default: fast/smoke size)")
-    p.add_argument("--from-trace", metavar="TRACE",
-                   help="ingest an existing trace capture instead of "
-                        "replaying (timeline only, no ground truth)")
-    p.add_argument("--report", metavar="PATH",
-                   help="write the ops timeline report here "
-                        "(default: stdout)")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the monitor snapshot (drift-gate "
-                        "document) here")
-    p.add_argument("--compare", metavar="GOLDEN",
-                   help="golden snapshot; exit 1 on drift")
-    p.add_argument("--check", action="store_true",
-                   help="exit 1 unless the detection gate passes")
-    p.add_argument("--mute", metavar="RULES",
-                   help="comma-separated alert rules to mute")
-    p.set_defaults(fn=cmd_monitor)
-
-    p = sub.add_parser(
-        "bench", help="wall-clock events/sec on the simulator hot paths"
-    )
-    p.add_argument("workloads", nargs="*",
-                   help="workload ids (default: propagate propagate-vec "
-                        "faults overload dispatch)")
-    p.add_argument("--smoke", action="store_true",
-                   help="small sizes for CI smoke runs")
-    p.add_argument("--backend", default=None,
-                   choices=["python", "vectorized", "both"],
-                   help="propagation backend for the engine lanes; "
-                        "'both' also checks cross-backend equivalence")
-    p.add_argument("--out", default="BENCH_PERF.json")
-    p.add_argument("--snapshot", metavar="PATH",
-                   help="write deterministic fields as a drift snapshot")
-    p.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                   metavar="PATH",
-                   help="append per-lane records to this JSONL trajectory")
-    p.add_argument("--no-history", action="store_true",
-                   help="skip appending to the bench history")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "perf",
-        help="wall-clock observatory: sampling profiler + bench-history "
-             "regression gate",
-    )
-    p.add_argument("perf_args", nargs=argparse.REMAINDER,
-                   help="perf subcommand and flags: "
-                        "`profile WORKLOAD [--folded-out ...]` or "
-                        "`check [--history ...]`")
-    p.set_defaults(fn=cmd_perf)
-
     p = sub.add_parser("info", help="machine + knowledge base statistics")
     p.add_argument("--kb-nodes", type=int, default=3000)
     p.set_defaults(fn=cmd_info)
 
-    args = cli.parse_args(argv)
+    for name, (_, help_text) in FORWARDED.items():
+        # Listed for the top-level help only: main() hands these
+        # subcommands' argv to the owning parser before parsing.
+        sub.add_parser(name, help=help_text, add_help=False)
+
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        if argv and argv[0] in FORWARDED:
+            module = importlib.import_module(FORWARDED[argv[0]][0])
+            return module.main(argv[1:])
+        args = cli.parse_args(argv)
         return args.fn(args)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.

@@ -153,27 +153,58 @@ def _scrub_nondeterministic(value: Any) -> Any:
     return value
 
 
-def _propagate_programs():
-    from .isa import assemble
+def propagate_setup(faulty: bool = False):
+    """(machine, programs) of the ``propagate``/``faults`` workloads.
 
-    texts = (
-        """
-        SEARCH-NODE thing b0
-        PROPAGATE b0 b1 chain(inverse:is-a)
-        COLLECT-NODE b1
-        """,
-        """
-        SEARCH-NODE c1 b2
-        PROPAGATE b2 b3 chain(inverse:is-a)
-        COLLECT-NODE b3
-        """,
-        """
-        SEARCH-NODE c2 b4
-        PROPAGATE b4 b5 chain(inverse:is-a)
-        COLLECT-NODE b5
-        """,
-    )
-    return [assemble(text) for text in texts]
+    A 360-node hierarchy on a 16-cluster machine, healthy or under an
+    aggressive fault pattern (offline clusters, dead links, transfer
+    corruption), and the ``overload`` experiment's three inheritance
+    programs.  The bench lanes and the ``trace`` captures both run it.
+    """
+    from .experiments.overload import TEMPLATES
+    from .isa import assemble
+    from .machine import MachineConfig, SnapMachine, snap1_16cluster
+    from .machine.faults import FaultConfig
+    from .network.generator import generate_hierarchy_kb
+
+    network = generate_hierarchy_kb(360, branching=3)
+    if faulty:
+        config = MachineConfig(
+            num_clusters=16,
+            mus_per_cluster=3,
+            faults=FaultConfig(
+                seed=11,
+                failed_cluster_fraction=0.125,
+                mu_loss_prob=0.1,
+                link_fail_prob=0.15,
+                transfer_corrupt_prob=0.08,
+                scp_timeout_prob=0.02,
+            ),
+        )
+    else:
+        config = snap1_16cluster()
+    machine = SnapMachine(network, config)
+    return machine, [assemble(text) for _, text in TEMPLATES]
+
+
+def _bench_machine(smoke: bool, faulty: bool) -> Dict[str, Any]:
+    """Time repeated sweeps of the propagate programs on the DES."""
+    repeats = 4 if smoke else 20
+    machine, programs = propagate_setup(faulty)
+    machine.run(programs[0])  # warm allocator/tables outside the clock
+    events = 0
+    walls: List[float] = []
+    for _ in range(repeats):
+        start = _start_clock()
+        for program in programs:
+            machine.reset_markers()
+            events += machine.run(program).events_processed
+        walls.append(time.perf_counter() - start)
+    return {
+        "events": events,
+        **_wall_stats(walls),
+        "runs": repeats * len(programs),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -301,27 +332,7 @@ def bench_propagate(
     if backend == "both":
         return bench_propagate_vec(smoke, backend="both")
 
-    from .machine import SnapMachine, snap1_16cluster
-    from .network.generator import generate_hierarchy_kb
-
-    repeats = 4 if smoke else 20
-    network = generate_hierarchy_kb(360, branching=3)
-    machine = SnapMachine(network, snap1_16cluster())
-    programs = _propagate_programs()
-    machine.run(programs[0])  # warm allocator/tables outside the clock
-    events = 0
-    walls: List[float] = []
-    for _ in range(repeats):
-        start = _start_clock()
-        for program in programs:
-            machine.reset_markers()
-            events += machine.run(program).events_processed
-        walls.append(time.perf_counter() - start)
-    return {
-        "events": events,
-        **_wall_stats(walls),
-        "runs": repeats * len(programs),
-    }
+    return _bench_machine(smoke, faulty=False)
 
 
 def bench_propagate_vec(
@@ -370,38 +381,7 @@ def bench_faults(
     smoke: bool = False, backend: Optional[str] = None
 ) -> Dict[str, Any]:
     """Propagation under faults: reroutes, retries, and watchdogs."""
-    from .machine import SnapMachine
-    from .machine.config import MachineConfig
-    from .machine.faults import FaultConfig
-    from .network.generator import generate_hierarchy_kb
-
-    repeats = 4 if smoke else 20
-    network = generate_hierarchy_kb(360, branching=3)
-    faults = FaultConfig(
-        seed=11,
-        failed_cluster_fraction=0.125,
-        mu_loss_prob=0.1,
-        link_fail_prob=0.15,
-        transfer_corrupt_prob=0.08,
-        scp_timeout_prob=0.02,
-    )
-    config = MachineConfig(num_clusters=16, mus_per_cluster=3, faults=faults)
-    machine = SnapMachine(network, config)
-    programs = _propagate_programs()
-    machine.run(programs[0])
-    events = 0
-    walls: List[float] = []
-    for _ in range(repeats):
-        start = _start_clock()
-        for program in programs:
-            machine.reset_markers()
-            events += machine.run(program).events_processed
-        walls.append(time.perf_counter() - start)
-    return {
-        "events": events,
-        **_wall_stats(walls),
-        "runs": repeats * len(programs),
-    }
+    return _bench_machine(smoke, faulty=True)
 
 
 def bench_overload(
@@ -414,7 +394,11 @@ def bench_overload(
     completion — the exact pattern that used to grow the event heap
     without bound under sustained traffic.
     """
-    from .experiments.overload import build_queries, uncontended_profile
+    from dataclasses import replace
+
+    from .experiments.overload import (
+        TEMPLATES, build_queries, uncontended_profile,
+    )
     from .host import HostConfig, Query, ServingHost
     from .isa import assemble
     from .network.generator import generate_hierarchy_kb
@@ -432,24 +416,13 @@ def bench_overload(
     )
     mean_service, p99 = uncontended_profile(network, config)
     sustainable = config.num_replicas / mean_service
-    config = HostConfig(
-        num_replicas=config.num_replicas,
-        clusters_per_replica=config.clusters_per_replica,
-        mus_per_cluster=config.mus_per_cluster,
-        queue_capacity=config.queue_capacity,
-        shed_policy=config.shed_policy,
-        max_attempts=config.max_attempts,
-        hedge_after_us=0.9 * p99,
-        fault_seed=config.fault_seed,
-    )
+    config = replace(config, hedge_after_us=0.9 * p99)
     # Deadlines 200x the p99: watchdogs are armed far out and almost
     # always cancelled, so dead entries dominate a naive event heap.
     queries = build_queries(count, 2.0 * sustainable, 200.0 * p99)
     host = ServingHost(network, config)
     # Pre-warm the nested-run cache so the clock sees only the serving
     # loop + DES kernel, not the (cached-once) machine simulations.
-    from .experiments.overload import TEMPLATES
-
     for name, text in TEMPLATES:
         program = assemble(text)
         for replica in host.array.replicas:

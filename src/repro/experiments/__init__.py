@@ -2,9 +2,11 @@
 
 Each ``figNN_*`` / ``tableNN_*`` module regenerates one artifact of
 §IV and is runnable standalone (``python -m
-repro.experiments.fig16_alpha_speedup``) or through the runner
-(``python -m repro.experiments.runner``).  See DESIGN.md for the
-per-experiment index and EXPERIMENTS.md for paper-vs-measured results.
+repro.experiments.fig16_alpha_speedup``) or through the runner:
+``python -m repro experiments [IDS...]`` forwards to
+:mod:`repro.experiments.runner`, whose ``--help`` lists the flags.
+See DESIGN.md for the per-experiment index and EXPERIMENTS.md for
+paper-vs-measured results.
 """
 
 from .common import REGISTRY, ExperimentResult, experiment

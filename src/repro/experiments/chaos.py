@@ -24,7 +24,8 @@ Run with ``python -m repro experiments chaos``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from dataclasses import replace
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..host import HostConfig, Query, ReplicaFaultEvent, ServingHost
 from ..machine.faults import (
@@ -35,7 +36,7 @@ from ..machine.faults import (
 )
 from ..network.generator import generate_hierarchy_kb
 from ..obs.live import TelemetrySink, truth_from_replica_timeline
-from ..obs.live.monitor import chaos_spec, run_pipeline
+from ..obs.live.monitor import MonitorRun, chaos_spec, run_pipeline
 from .common import ExperimentResult, experiment, timed
 from .overload import build_queries, uncontended_profile
 
@@ -110,15 +111,12 @@ def build_scenario(
         ReplicaFaultEvent(12.0 * m, 3, gray_faults(303)),
         ReplicaFaultEvent(20.0 * m, 3, None),
     )
-    config = HostConfig(
-        num_replicas=base.num_replicas,
-        clusters_per_replica=base.clusters_per_replica,
-        mus_per_cluster=base.mus_per_cluster,
+    config = replace(
+        base,
         queue_capacity=16,
         max_attempts=2,
         breaker_failure_threshold=2,
         breaker_cooldown_us=2.0 * m,
-        fault_seed=base.fault_seed,
         replica_timeline=timeline,
         health_enabled=True,
         health_window=8,
@@ -141,6 +139,33 @@ def build_scenario(
     return network, config, queries, profile
 
 
+def monitor_chaos(
+    fast: bool = True, muted: Iterable[str] = (), scenario=None
+) -> MonitorRun:
+    """Serve the rolling-gray scenario with a sink attached; monitor it.
+
+    Windows the telemetry stream, fires burn-rate/symptom alerts, and
+    scores detection against the replica timeline's exact fault
+    windows.  ``scenario`` reuses an already-built
+    :func:`build_scenario` result; the host's report rides along as
+    ``run.report``.
+    """
+    network, config, queries, profile = scenario or build_scenario(fast)
+    sink = TelemetrySink()
+    report = ServingHost(network, config, sink=sink).serve(queries)
+    horizon = max(
+        report.total_time_us,
+        max((e.ts_us for e in sink.events), default=0.0),
+    )
+    truth = truth_from_replica_timeline(
+        config.replica_timeline, horizon_us=horizon
+    )
+    return run_pipeline(
+        chaos_spec(profile["mean_service_us"]), sink.ordered(), truth,
+        horizon_us=horizon, muted=muted, report=report,
+    )
+
+
 @experiment("chaos")
 def run(fast: bool = True) -> ExperimentResult:
     """Rolling gray failure + repair; quarantine, readmit, audit."""
@@ -153,7 +178,8 @@ def run(fast: bool = True) -> ExperimentResult:
                         "healthy array; this degrades and repairs "
                         "replicas mid-stream and requires detection",
         )
-        network, config, queries, profile = build_scenario(fast)
+        scenario = build_scenario(fast)
+        _, config, queries, profile = scenario
         m = profile["mean_service_us"]
         result.add(
             f"uncontended: mean service {m:.0f} us, p99 "
@@ -165,21 +191,9 @@ def run(fast: bool = True) -> ExperimentResult:
             "timeline (x = mean service): r1 gray @2.0x..10.0x, "
             "r2 cluster-flap @6.0x..14.0x, r3 gray @12.0x..20.0x"
         )
-        sink = TelemetrySink()
-        report = ServingHost(network, config, sink=sink).serve(queries)
-        # Live monitoring rides the same run: window the telemetry
-        # stream, fire burn-rate/symptom alerts, and score detection
-        # against the replica timeline's exact fault windows.
-        horizon = max(
-            report.total_time_us,
-            max((e.ts_us for e in sink.events), default=0.0),
-        )
-        truth = truth_from_replica_timeline(
-            config.replica_timeline, horizon_us=horizon
-        )
-        mon = run_pipeline(
-            chaos_spec(m), sink.ordered(), truth, horizon_us=horizon
-        )
+        # Live monitoring rides the same run.
+        mon = monitor_chaos(scenario=scenario)
+        report = mon.report
 
         # Replicas whose degradation is *silent* (slowdown + drop)
         # versus every replica the timeline touches at all.

@@ -31,13 +31,6 @@ from ..machine import FaultConfig, MachineConfig, RetryPolicy, SnapMachine
 from ..network.generator import generate_hierarchy_kb
 from .common import ExperimentResult, experiment, timed
 
-#: Inheritance workload: mark every concept below the hierarchy root.
-PROGRAM = """
-SEARCH-NODE thing b0
-PROPAGATE b0 b1 chain(inverse:is-a)
-COLLECT-NODE b1
-"""
-
 #: Failed-cluster fractions swept (0 → 25% of the machine).
 FRACTIONS = (0.0, 0.0625, 0.125, 0.1875, 0.25)
 
@@ -49,12 +42,21 @@ def _machine_config(faults) -> MachineConfig:
 def _run_once(
     num_nodes: int, faults
 ) -> Tuple[float, FrozenSet]:
-    """One full machine build + program run; (report, marked set)."""
+    """One full machine build + program run; (report, marked set).
+
+    The program is the ``overload`` experiment's ``root`` template:
+    mark every concept below the hierarchy root.  It is imported here
+    rather than at module load so ``overload`` is not registered ahead
+    of this experiment (the registry's insertion order is the paper
+    order).
+    """
+    from .overload import TEMPLATES
+
     machine = SnapMachine(
         generate_hierarchy_kb(num_nodes, branching=3),
         _machine_config(faults),
     )
-    report = machine.run(assemble(PROGRAM))
+    report = machine.run(assemble(dict(TEMPLATES)["root"]))
     marked = frozenset(
         tuple(item) if isinstance(item, list) else item
         for item in report.results()[0]

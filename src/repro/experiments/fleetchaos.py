@@ -26,7 +26,7 @@ Run with ``python -m repro experiments fleetchaos``.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..fleet import FleetConfig, FleetRouter
 from ..host import Query
@@ -34,7 +34,7 @@ from ..isa import assemble
 from ..machine.faults import RegionEvent, RegionSchedule
 from ..network.generator import generate_hierarchy_kb
 from ..obs.live import TelemetrySink
-from ..obs.live.monitor import fleetchaos_spec, run_pipeline
+from ..obs.live.monitor import MonitorRun, fleetchaos_spec, run_pipeline
 from .common import ExperimentResult, experiment, timed
 
 FLEETCHAOS_SEED = 20260808
@@ -125,6 +125,32 @@ def build_scenario(
     return network, config, queries, profile
 
 
+def monitor_fleetchaos(
+    fast: bool = True, muted: Iterable[str] = (), scenario=None
+) -> MonitorRun:
+    """Serve the regional-outage scenario with a sink; monitor it.
+
+    Windows the telemetry stream, fires burn-rate/symptom alerts, and
+    scores detection against the region schedule's exact fault
+    windows.  ``scenario`` reuses an already-built
+    :func:`build_scenario` result; the router's report rides along as
+    ``run.report``.
+    """
+    network, config, queries, profile = scenario or build_scenario(fast)
+    sink = TelemetrySink()
+    report = FleetRouter(network, config, sink=sink).serve(queries)
+    horizon = max(
+        report.total_time_us,
+        max((e.ts_us for e in sink.events), default=0.0),
+        profile["gray_off_us"],
+    )
+    return run_pipeline(
+        fleetchaos_spec(), sink.ordered(),
+        config.region_schedule.fault_windows(),
+        horizon_us=horizon, muted=muted, report=report,
+    )
+
+
 @experiment("fleetchaos")
 def run(fast: bool = True) -> ExperimentResult:
     """Regional outage + gray region; failover, rebalance, degrade."""
@@ -137,9 +163,8 @@ def run(fast: bool = True) -> ExperimentResult:
                         "array; this shards the KB across regions and "
                         "requires answers through a full-region failure",
         )
-        network, config, queries, profile = build_scenario(fast)
-        sink = TelemetrySink()
-        router = FleetRouter(network, config, sink=sink)
+        scenario = build_scenario(fast)
+        _, config, queries, profile = scenario
         result.add(
             f"{config.num_shards} shards x R={config.replication_factor} "
             f"over {config.num_regions} regions; "
@@ -151,19 +176,9 @@ def run(fast: bool = True) -> ExperimentResult:
             f"@{REPAIR_US / 1e3:.0f} ms; region 2 gray x{GRAY_FACTOR:g} "
             f"@{GRAY_ON_US / 1e3:.0f}..{GRAY_OFF_US / 1e3:.0f} ms"
         )
-        report = router.serve(queries)
-        # Live monitoring rides the same run: window the telemetry
-        # stream, fire burn-rate/symptom alerts, and score detection
-        # against the region schedule's exact fault windows.
-        horizon = max(
-            report.total_time_us,
-            max((e.ts_us for e in sink.events), default=0.0),
-            profile["gray_off_us"],
-        )
-        mon = run_pipeline(
-            fleetchaos_spec(), sink.ordered(),
-            config.region_schedule.fault_windows(), horizon_us=horizon,
-        )
+        # Live monitoring rides the same run.
+        mon = monitor_fleetchaos(scenario=scenario)
+        report = mon.report
 
         result.add()
         result.add(

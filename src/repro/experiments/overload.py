@@ -25,6 +25,7 @@ Run with ``python -m repro experiments overload``.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from ..host import HostConfig, Query, ServingHost
@@ -100,7 +101,6 @@ def uncontended_profile(
     """(mean, p99) service time of the query mix on a healthy replica."""
     from ..host import ReplicaArray
     from ..host.report import percentile
-    from dataclasses import replace
 
     array = ReplicaArray(
         network, replace(config, faulty_replica_fraction=0.0)
@@ -163,18 +163,10 @@ def run(fast: bool = True) -> ExperimentResult:
         rows: List[Dict] = []
         for fault_fraction in FAULT_ARMS:
             for factor in LOAD_FACTORS:
-                config = HostConfig(
-                    num_replicas=base.num_replicas,
-                    clusters_per_replica=base.clusters_per_replica,
-                    mus_per_cluster=base.mus_per_cluster,
-                    queue_capacity=base.queue_capacity,
-                    shed_policy=base.shed_policy,
-                    max_attempts=base.max_attempts,
+                config = replace(
+                    base,
                     hedge_after_us=0.75 * p99_0,
-                    breaker_failure_threshold=base.breaker_failure_threshold,
-                    breaker_cooldown_us=base.breaker_cooldown_us,
                     faulty_replica_fraction=fault_fraction,
-                    fault_seed=base.fault_seed,
                 )
                 queries = build_queries(
                     count, factor * sustainable, deadline_us

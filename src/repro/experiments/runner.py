@@ -1,11 +1,12 @@
 """Run every regenerated table/figure and print/save the results.
 
-Usage::
+Usage (``python -m repro experiments`` forwards here unchanged)::
 
-    python -m repro.experiments.runner            # fast mode, all
-    python -m repro.experiments.runner --full     # paper-scale sizes
-    python -m repro.experiments.runner fig16 fig21  # selected only
-    python -m repro.experiments.runner --out results.txt
+    python -m repro experiments                   # fast mode, all
+    python -m repro experiments --full            # paper-scale sizes
+    python -m repro experiments fig16 fig21       # selected only
+    python -m repro experiments --out results.txt
+    python -m repro experiments fig21 --trace fig21.json
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-# Importing the modules populates the registry.
+# Importing the modules populates the registry.  The import order is
+# the paper order, which a bare run and --list follow.
 from . import (  # noqa: F401
-    chaos,
-    fault_degradation,
     fig06_instruction_profile,
     fig08_marker_traffic,
+    table04_parse_times,
     fig15_inheritance,
     fig16_alpha_speedup,
     fig17_beta_speedup,
@@ -27,21 +28,18 @@ from . import (  # noqa: F401
     fig19_kb_sweep,
     fig20_propagation_counts,
     fig21_overheads,
-    fleetchaos,
-    overload,
+    textstats_parallelism,
     scaling_projection,
     speech_robustness,
-    table04_parse_times,
-    textstats_parallelism,
+    fault_degradation,
+    overload,
+    chaos,
+    fleetchaos,
 )
 from .common import REGISTRY, ExperimentResult
 
 #: Paper order.
-DEFAULT_ORDER = (
-    "fig06", "fig08", "table04", "fig15", "fig16", "fig17",
-    "fig18", "fig19", "fig20", "fig21", "textstats", "scaling",
-    "speech", "faultdeg", "overload", "chaos", "fleetchaos",
-)
+DEFAULT_ORDER = tuple(REGISTRY)
 
 
 def run_experiments(
@@ -62,7 +60,10 @@ def run_experiments(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro experiments", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument(
         "experiments", nargs="*",
         help=f"experiment ids to run (default: all of {DEFAULT_ORDER})",
@@ -87,6 +88,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "functional-engine run in the selected experiments",
     )
     parser.add_argument(
+        "--trace", metavar="PATH",
+        help="capture every simulation in the run into one Perfetto "
+             "trace (best with a single experiment id)",
+    )
+    parser.add_argument(
         "--profile", metavar="PATH",
         help="sample wall-clock stacks across the whole run and write "
              "flamegraph-compatible folded stacks here",
@@ -101,16 +107,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list:
         for experiment_id in DEFAULT_ORDER:
             print(experiment_id)
-        for experiment_id in sorted(set(REGISTRY) - set(DEFAULT_ORDER)):
-            print(experiment_id)
         return 0
 
     unknown = [e for e in args.experiments if e not in REGISTRY]
     if unknown:
-        known = ", ".join(
-            list(DEFAULT_ORDER)
-            + sorted(set(REGISTRY) - set(DEFAULT_ORDER))
-        )
+        known = ", ".join(DEFAULT_ORDER)
         print(
             f"error: unknown experiment(s): {', '.join(unknown)}\n"
             f"usage: python -m repro experiments [IDS...] [--full]\n"
@@ -120,16 +121,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    profiler = None
+    profiler = tracer = None
     if args.profile:
         from ..obs.perf import SamplingProfiler
 
         profiler = SamplingProfiler().start()
+    if args.trace:
+        # A process-global tracer captures every nested simulation the
+        # selected experiments start, without threading a tracer
+        # through each experiment's signature.
+        from ..obs import Tracer, set_tracer
+
+        tracer = Tracer()
+        set_tracer(tracer)
     try:
         results = run_experiments(
             args.experiments or None, fast=not args.full
         )
     finally:
+        if tracer is not None:
+            set_tracer(None)
         if profiler is not None:
             profile = profiler.stop()
             with open(args.profile, "w") as handle:
@@ -156,6 +167,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.snapshot}")
+    if tracer is not None:
+        from ..obs import write_chrome_json
+
+        write_chrome_json(args.trace, tracer)
+        print(f"wrote {args.trace} ({tracer.num_events} trace events)")
     return 0
 
 

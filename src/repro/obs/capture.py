@@ -56,55 +56,13 @@ from .validate import validate_chrome_trace
 WORKLOADS = ("propagate", "faults", "overload", "chaos", "fleetchaos")
 
 
-def _propagate_setup(faulty: bool):
-    from ..isa import assemble
-    from ..machine import SnapMachine
-    from ..machine.config import MachineConfig, snap1_16cluster
-    from ..network.generator import generate_hierarchy_kb
-
-    network = generate_hierarchy_kb(360, branching=3)
-    if faulty:
-        from ..machine.faults import FaultConfig
-
-        config = MachineConfig(
-            num_clusters=16,
-            mus_per_cluster=3,
-            faults=FaultConfig(
-                seed=11,
-                failed_cluster_fraction=0.125,
-                mu_loss_prob=0.1,
-                link_fail_prob=0.15,
-                transfer_corrupt_prob=0.08,
-                scp_timeout_prob=0.02,
-            ),
-        )
-    else:
-        config = snap1_16cluster()
-    machine = SnapMachine(network, config)
-    programs = [
-        assemble(text)
-        for text in (
-            """
-            SEARCH-NODE thing b0
-            PROPAGATE b0 b1 chain(inverse:is-a)
-            COLLECT-NODE b1
-            """,
-            """
-            SEARCH-NODE c1 b2
-            PROPAGATE b2 b3 chain(inverse:is-a)
-            COLLECT-NODE b3
-            """,
-        )
-    ]
-    return machine, programs
-
-
 def _capture_machine(
     faulty: bool, smoke: bool
 ) -> Tuple[Tracer, MetricsRegistry, Dict[str, Any]]:
-    machine, programs = _propagate_setup(faulty)
-    if smoke:
-        programs = programs[:1]
+    from ..bench import propagate_setup
+
+    machine, programs = propagate_setup(faulty)
+    programs = programs[: 1 if smoke else 2]
     tracer = Tracer()
     metrics = MetricsRegistry()
     offset = 0.0
@@ -164,7 +122,7 @@ def capture_overload(smoke: bool = False):
     count = 150 if smoke else 300
     burst, lull_us = 30, 3_000.0
     network = generate_hierarchy_kb(240, branching=3)
-    base = dict(
+    base = HostConfig(
         num_replicas=4,
         clusters_per_replica=4,
         mus_per_cluster=2,
@@ -182,9 +140,9 @@ def capture_overload(smoke: bool = False):
             retry=RetryPolicy(max_retries=1),
         ),
     )
-    mean_service, p99 = uncontended_profile(network, HostConfig(**base))
-    sustainable = HostConfig(**base).num_replicas / mean_service
-    config = HostConfig(**base, hedge_after_us=0.9 * p99)
+    mean_service, p99 = uncontended_profile(network, base)
+    sustainable = base.num_replicas / mean_service
+    config = replace(base, hedge_after_us=0.9 * p99)
     queries = build_queries(count, 2.0 * sustainable, 20.0 * p99)
     # Re-time the uniform stream into burst/lull cycles: a drain lull
     # after every `burst` arrivals is what leaves healthy replicas

@@ -21,15 +21,23 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from ...experiments.chaos import monitor_chaos
+from ...experiments.fleetchaos import monitor_fleetchaos
 from ..analyze.drift import compare_snapshots
 from .monitor import (
-    MONITOR_WORKLOADS,
-    MonitorRun,
+    chaos_spec,
     events_from_trace,
+    fleetchaos_spec,
     monitor_snapshot,
     run_pipeline,
 )
 from .report import render_monitor_report
+
+#: Workload -> the experiment's own serve-and-monitor entry point.
+MONITOR_WORKLOADS = {
+    "chaos": monitor_chaos,
+    "fleetchaos": monitor_fleetchaos,
+}
 
 
 def _parse_mutes(raw: Optional[str]) -> List[str]:
@@ -83,8 +91,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.from_trace, "r", encoding="utf-8") as handle:
             document = json.load(handle)
         events = events_from_trace(document)
-        from .monitor import chaos_spec, fleetchaos_spec
-
         if args.workload == "fleetchaos":
             spec = fleetchaos_spec()
         else:

@@ -3,8 +3,11 @@
 Glues the live-telemetry layers end-to-end for the ``python -m repro
 monitor`` CLI, the experiment contract checks, and CI:
 
-1. run the workload with a :class:`~repro.obs.live.events.TelemetrySink`
-   attached (or ingest an existing trace capture);
+1. the workload's experiment module (``monitor_chaos`` in
+   :mod:`repro.experiments.chaos`, ``monitor_fleetchaos`` in
+   :mod:`repro.experiments.fleetchaos`) serves it with a
+   :class:`~repro.obs.live.events.TelemetrySink` attached and calls
+   :func:`run_pipeline` (or the CLI ingests an existing trace capture);
 2. aggregate the stream into the windowed series (:mod:`.windows`);
 3. evaluate SLO burn-rate + symptom rules (:mod:`.slo`) and drive the
    alert lifecycle (:mod:`.alerts`);
@@ -21,18 +24,13 @@ simulated-time bound the acceptance gate enforces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...machine.faults import FaultWindow
 from ..analyze.drift import make_snapshot
 from .alerts import Alert, AlertManager
 from .events import TelemetryEvent, TelemetrySink
-from .score import (
-    DetectionScore,
-    ScoreConfig,
-    score_detection,
-    truth_from_replica_timeline,
-)
+from .score import DetectionScore, ScoreConfig, score_detection
 from .slo import (
     BurnRateRule,
     EventRule,
@@ -73,6 +71,9 @@ class MonitorRun:
     slo_states: Dict[str, SLOState]
     score: DetectionScore
     muted: Set[str] = field(default_factory=set)
+    #: The serving report the telemetry came from (None when ingested
+    #: from a trace).
+    report: Any = None
 
     def gate_problems(self) -> List[str]:
         """Detection-gate verdict (empty iff the monitoring passed)."""
@@ -85,6 +86,7 @@ def run_pipeline(
     truth: Sequence[FaultWindow],
     horizon_us: Optional[float] = None,
     muted: Iterable[str] = (),
+    report: Any = None,
 ) -> MonitorRun:
     """Windows → rules → alerts → detection score, deterministically."""
     muted_set = set(muted)
@@ -118,6 +120,7 @@ def run_pipeline(
         slo_states=slo_states,
         score=score,
         muted=muted_set,
+        report=report,
     )
 
 
@@ -229,61 +232,6 @@ def fleetchaos_spec() -> MonitorSpec:
         ack_after_us=10_000.0,
         clear_windows=2,
     )
-
-
-# ----------------------------------------------------------------------
-# Workload runners (imports deferred: experiments pull in the serving
-# stack, and the monitor must stay importable without it).
-# ----------------------------------------------------------------------
-def monitor_chaos(
-    fast: bool = True, muted: Iterable[str] = ()
-) -> MonitorRun:
-    """Replay the chaos workload with a sink attached and monitor it."""
-    from ...experiments.chaos import build_scenario
-    from ...host import ServingHost
-
-    network, config, queries, profile = build_scenario(fast)
-    sink = TelemetrySink()
-    report = ServingHost(network, config, sink=sink).serve(queries)
-    horizon = max(
-        report.total_time_us,
-        max((e.ts_us for e in sink.events), default=0.0),
-    )
-    truth = truth_from_replica_timeline(
-        config.replica_timeline, horizon_us=horizon
-    )
-    spec = chaos_spec(profile["mean_service_us"])
-    return run_pipeline(
-        spec, sink.ordered(), truth, horizon_us=horizon, muted=muted
-    )
-
-
-def monitor_fleetchaos(
-    fast: bool = True, muted: Iterable[str] = ()
-) -> MonitorRun:
-    """Replay the fleetchaos workload with a sink and monitor it."""
-    from ...experiments.fleetchaos import build_scenario
-    from ...fleet import FleetRouter
-
-    network, config, queries, profile = build_scenario(fast)
-    sink = TelemetrySink()
-    report = FleetRouter(network, config, sink=sink).serve(queries)
-    horizon = max(
-        report.total_time_us,
-        max((e.ts_us for e in sink.events), default=0.0),
-        profile["gray_off_us"],
-    )
-    truth = config.region_schedule.fault_windows()
-    return run_pipeline(
-        fleetchaos_spec(), sink.ordered(), truth,
-        horizon_us=horizon, muted=muted,
-    )
-
-
-MONITOR_WORKLOADS = {
-    "chaos": monitor_chaos,
-    "fleetchaos": monitor_fleetchaos,
-}
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
+from repro.experiments.chaos import monitor_chaos
+from repro.experiments.fleetchaos import monitor_fleetchaos
 from repro.obs.analyze.drift import SNAPSHOT_KIND, compare_snapshots
 from repro.obs.live.cli import main as monitor_main
 from repro.obs.live.monitor import (
-    events_from_trace, monitor_chaos, monitor_fleetchaos,
-    monitor_snapshot, run_pipeline,
+    events_from_trace, monitor_snapshot, run_pipeline,
 )
 from repro.obs.live.report import render_monitor_report
 

@@ -1,6 +1,7 @@
 """``python -m repro perf`` CLI: profile artifacts and check gating."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -18,6 +19,25 @@ def write_history(path, records):
 
 
 NOISE_RATES = [100_000, 98_500, 103_000, 101_000, 97_000, 102_000]
+
+NOISE_FIXTURE = (
+    pathlib.Path(__file__).resolve().parents[3]
+    / "goldens" / "perf" / "history-noise.jsonl"
+)
+
+
+def slowed_noise_fixture():
+    """The noise fixture plus a copy of its newest ``propagate`` record
+    with every per-run wall x1.5 (a -33% rate step)."""
+    records = [
+        json.loads(line)
+        for line in NOISE_FIXTURE.read_text().splitlines()
+        if line.strip()
+    ]
+    slow = dict(next(r for r in reversed(records) if r["lane"] == "propagate"))
+    slow["wall_runs"] = [wall * 1.5 for wall in slow["wall_runs"]]
+    slow["wall_s"] = sum(slow["wall_runs"])
+    return records + [slow]
 
 
 class TestPerfProfile:
@@ -95,13 +115,16 @@ class TestPerfCheck:
         assert "perf check: ok" in out
 
     def test_injected_regression_fails(self, tmp_path, capsys):
-        path = write_history(
-            tmp_path / "h.jsonl", history(NOISE_RATES, newest_rate=65_000)
-        )
-        assert main(["check", "--history", path]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "regression detected" in out
+        inputs = {
+            "synthetic": history(NOISE_RATES, newest_rate=65_000),
+            "noise-fixture-x1.5": slowed_noise_fixture(),
+        }
+        for name, records in inputs.items():
+            path = write_history(tmp_path / f"{name}.jsonl", records)
+            assert main(["check", "--history", path]) == 1, name
+            out = capsys.readouterr().out
+            assert "REGRESSION" in out
+            assert "regression detected" in out
 
     def test_check_writes_json_verdicts(self, tmp_path):
         path = write_history(
