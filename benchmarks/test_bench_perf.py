@@ -1,258 +1,131 @@
-"""Wall-clock harness (``python -m repro bench``): sanity + smoke.
+"""Propagation-backend equivalence gate: python ≡ vectorized.
 
-The other files in this directory benchmark individual kernels with
-pytest-benchmark; this one exercises the ``repro.bench`` harness
-itself — the trajectory tool CI runs with ``--smoke`` — so a broken
-workload or malformed BENCH_PERF.json fails here rather than in CI.
+Runs the same propagation programs on a 6K-node hierarchy KB over 16
+clusters through the python backend (the golden model) and the
+vectorized backend, and requires
+
+* equal sha256 fingerprints over the final marker state (status bits,
+  value and origin registers of every cluster) and every instruction
+  record, collects included;
+* equal event (marker arrival) counts;
+* a vectorized speedup of at least 3x on the timed propagation sweeps.
+
+A negative case flips one status bit in the vectorized engine's state
+before fingerprinting and checks that the comparison then fails.
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_perf.py``.
 """
 
-import json
-import platform
-import statistics
+import hashlib
+import time
 
 import pytest
 
-from repro.bench import (
-    DEFAULT_OUT,
-    WORKLOADS,
-    BackendDivergenceError,
-    _scrub_nondeterministic,
-    main,
-    run_bench,
+from repro.core import FunctionalEngine
+from repro.core.state import MachineState
+from repro.isa import assemble
+from repro.network.generator import generate_hierarchy_kb
+
+NODES = 6000
+CLUSTERS = 16
+REPEATS = 2
+
+#: Timed propagation sweeps.  No COLLECT here: a full-KB collect is the
+#: same Python loop on both backends and would dilute the comparison.
+SWEEPS = (
+    """
+    SEARCH-NODE thing b0
+    PROPAGATE b0 b1 chain(inverse:is-a)
+    """,
+    """
+    SEARCH-NODE thing m0 0.0
+    PROPAGATE m0 m1 chain(inverse:is-a) add-weight
+    """,
+    """
+    SEARCH-NODE c1 m2 0.0
+    PROPAGATE m2 m3 chain(inverse:is-a) count-hops
+    """,
 )
 
-
-class TestRunBench:
-    def test_propagate_smoke_counts_events(self):
-        record = run_bench(["propagate"], smoke=True)
-        assert record["smoke"] is True
-        row = record["workloads"]["propagate"]
-        assert row["events"] > 0
-        assert row["wall_s"] > 0
-        assert row["events_per_sec"] > 0
-        assert row["runs"] > 0
-
-    def test_faults_smoke_counts_events(self):
-        row = run_bench(["faults"], smoke=True)["workloads"]["faults"]
-        assert row["events"] > 0
-        assert row["events_per_sec"] > 0
-
-    def test_overload_smoke_serves_and_sheds(self):
-        row = run_bench(["overload"], smoke=True)["workloads"]["overload"]
-        assert row["events"] > 0
-        assert row["events_per_sec"] > 0
-        # Sustained 2x overload must actually shed; if it does not, the
-        # workload no longer stresses the cancellation-heavy path.
-        assert row["served"] > 0
-        assert row["shed"] > 0
-        assert row["served"] + row["shed"] == row["queries"]
-
-    def test_event_counts_are_deterministic(self):
-        """The byte-identical-reports guarantee, seen from the bench:
-        event counts never move between runs — only wall time does."""
-        first = run_bench(["propagate"], smoke=True)
-        second = run_bench(["propagate"], smoke=True)
-        assert (
-            first["workloads"]["propagate"]["events"]
-            == second["workloads"]["propagate"]["events"]
-        )
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(KeyError):
-            run_bench(["no-such-workload"], smoke=True)
-
-    def test_default_selection_covers_all_workloads(self):
-        assert set(WORKLOADS) == {
-            "propagate", "propagate-vec", "faults", "overload", "dispatch",
-        }
-
-    def test_dispatch_smoke_counts_events(self):
-        row = run_bench(["dispatch"], smoke=True)["workloads"]["dispatch"]
-        assert row["events"] > 0
-        assert row["events_per_sec"] > 0
-
-    def test_propagate_backend_lane(self):
-        """--backend flips the propagate lane onto the functional
-        engine; both backends report identical event counts."""
-        rows = {
-            backend: run_bench(
-                ["propagate"], smoke=True, backend=backend
-            )["workloads"]["propagate"]
-            for backend in ("python", "vectorized")
-        }
-        assert rows["python"]["backend"] == "python"
-        assert rows["vectorized"]["backend"] == "vectorized"
-        assert rows["python"]["events"] == rows["vectorized"]["events"]
-        assert rows["python"]["events"] > 0
-
-    def test_propagate_vec_equivalence_and_speedup(self):
-        row = run_bench(["propagate-vec"], smoke=True)[
-            "workloads"]["propagate-vec"]
-        assert row["equivalent"] is True
-        assert set(row["backends"]) == {"python", "vectorized"}
-        for sub in row["backends"].values():
-            assert sub["events"] > 0
-        # Even at smoke sizes the vectorized backend should be well
-        # ahead; the 10x acceptance figure is measured at full size.
-        assert row["speedup"] >= 3.0
-
-    def test_unreliable_wall_flagged(self, monkeypatch):
-        """A lane finishing below the clock floor is flagged, not
-        reported as a confident events/sec figure."""
-        import repro.bench as bench
-
-        monkeypatch.setitem(
-            bench._RUNNERS, "propagate",
-            lambda smoke, backend: {"events": 5, "wall_s": 1e-7},
-        )
-        row = run_bench(["propagate"], smoke=True)["workloads"]["propagate"]
-        assert row["unreliable"] is True
-        assert row["events_per_sec"] > 0
-
-    def test_noisy_per_run_walls_flagged_unreliable(self, monkeypatch):
-        """Per-run walls scattering beyond the relative-stdev threshold
-        flag the lane even when the total wall is comfortably above the
-        clock floor."""
-        import repro.bench as bench
-
-        walls = [0.010, 0.011, 0.050]  # one 5x outlier run
-        monkeypatch.setitem(
-            bench._RUNNERS, "propagate",
-            lambda smoke, backend: {
-                "events": 5000, **bench._wall_stats(walls),
-            },
-        )
-        row = run_bench(["propagate"], smoke=True)["workloads"]["propagate"]
-        assert row["unreliable"] is True
-
-    def test_steady_per_run_walls_not_flagged(self, monkeypatch):
-        import repro.bench as bench
-
-        walls = [0.010, 0.0101, 0.0099, 0.0102]
-        monkeypatch.setitem(
-            bench._RUNNERS, "propagate",
-            lambda smoke, backend: {
-                "events": 5000, **bench._wall_stats(walls),
-            },
-        )
-        row = run_bench(["propagate"], smoke=True)["workloads"]["propagate"]
-        assert "unreliable" not in row
-
-    def test_lanes_record_per_run_wall_stats(self):
-        record = run_bench(["propagate", "dispatch"], smoke=True)
-        for lane in ("propagate", "dispatch"):
-            row = record["workloads"][lane]
-            walls = row["wall_runs"]
-            assert len(walls) >= 2
-            assert row["wall_s"] == pytest.approx(sum(walls))
-            assert row["wall_min_s"] == min(walls)
-            assert row["wall_median_s"] == statistics.median(walls)
-            assert row["wall_stdev_s"] == pytest.approx(
-                statistics.stdev(walls)
-            )
-
-    def test_overload_lane_is_one_run(self):
-        row = run_bench(["overload"], smoke=True)["workloads"]["overload"]
-        assert len(row["wall_runs"]) == 1
-        assert row["wall_stdev_s"] == 0.0
-
-    def test_environment_fingerprint_stamped(self):
-        record = run_bench(["dispatch"], smoke=True, backend="python")
-        env = record["environment"]
-        assert env["python"] == platform.python_version()
-        assert env["backend"] == "python"
-        assert env["smoke"] is True
-        assert env["cpu_count"] is None or env["cpu_count"] >= 1
-
-    def test_scrub_drops_all_timing_and_environment_keys(self):
-        record = run_bench(["propagate"], smoke=True)
-        scrubbed = _scrub_nondeterministic(
-            {"environment": record["environment"], **record["workloads"]}
-        )
-        flat = json.dumps(scrubbed)
-        for key in ("wall_s", "wall_runs", "wall_min_s", "wall_median_s",
-                    "wall_stdev_s", "events_per_sec", "environment"):
-            assert key not in flat
-        assert "events" in scrubbed["propagate"]
-
-    def test_backend_divergence_raises_with_record(self, monkeypatch):
-        import repro.bench as bench
-
-        digests = iter(["aaa", "bbb"])
-
-        def fake(smoke, backend, nodes):
-            return (
-                {"events": 10, **bench._wall_stats([0.01]), "runs": 1,
-                 "nodes": nodes, "clusters": 16, "backend": backend},
-                next(digests),
-            )
-
-        monkeypatch.setattr(bench, "_functional_propagate", fake)
-        with pytest.raises(BackendDivergenceError) as excinfo:
-            run_bench(["propagate-vec"], smoke=True)
-        assert excinfo.value.record["equivalent"] is False
+#: Run once after the clock stops; its results enter the fingerprint.
+COLLECT = """
+COLLECT-NODE b1
+COLLECT-MARKER m1
+COLLECT-NODE m3
+"""
 
 
-class TestCli:
-    def test_main_writes_trajectory_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_PERF.json"
-        assert main(["propagate", "--smoke", "--out", str(out),
-                     "--no-history"]) == 0
-        record = json.loads(out.read_text())
-        assert record["bench"] == "snap1-hot-path"
-        assert record["smoke"] is True
-        assert "python" in record
-        assert "propagate" in record["workloads"]
-        printed = capsys.readouterr().out
-        assert "ev/s" in printed
-        assert str(out) in printed
+def fingerprint(engine, results):
+    """sha256 of final marker state and every record: equal across
+    backends iff they executed equivalently."""
+    digest = hashlib.sha256()
+    for tables in engine.state.clusters:
+        digest.update(tables.status.snapshot().tobytes())
+        digest.update(tables.node_table.value.tobytes())
+        digest.update(tables.node_table.origin.tobytes())
+    for result in results:
+        for record in result.records:
+            digest.update(repr((
+                record.opcode,
+                record.work.words, record.work.nodes, record.work.slots,
+                record.work.sets, record.work.fp_ops, record.work.messages,
+                record.work.links_made,
+                record.alpha, record.max_hops, record.remote_messages,
+                record.arrivals, record.result,
+            )).encode())
+    return digest.hexdigest()
 
-    def test_main_appends_history_records(self, tmp_path):
-        from repro.obs.perf.history import load_history
 
-        out = tmp_path / "BENCH_PERF.json"
-        hist = tmp_path / "BENCH_HISTORY.jsonl"
-        for _ in range(2):
-            assert main(["dispatch", "--smoke", "--out", str(out),
-                         "--history", str(hist)]) == 0
-        records = load_history(str(hist))
-        assert len(records) == 2
-        assert records[0]["lane"] == "dispatch"
-        assert records[0]["environment"]["python"]
-        assert records[0]["wall_runs"]
+def run_backend(backend, flip_status_bit=False):
+    """(fingerprint, events, best sweep wall in s) on one backend."""
+    network = generate_hierarchy_kb(NODES, branching=3)
+    state = MachineState(
+        network, CLUSTERS, "round-robin", machine_capacity=2 * NODES
+    )
+    engine = FunctionalEngine(network, state=state, backend=backend)
+    programs = [assemble(text) for text in SWEEPS]
+    engine.run(programs[0])  # warm caches outside the clock
+    walls = []
+    for _ in range(REPEATS):
+        state.reset_markers()
+        start = time.perf_counter()
+        results = [engine.run(program) for program in programs]
+        walls.append(time.perf_counter() - start)
+    events = sum(
+        record.arrivals for result in results for record in result.records
+    )
+    results.append(engine.run(assemble(COLLECT)))
+    if flip_status_bit:
+        status = state.clusters[0].status
+        if status.test(0, 0):
+            status.clear(0, 0)
+        else:
+            status.set(0, 0)
+    return fingerprint(engine, results), events, min(walls)
 
-    def test_no_history_skips_append(self, tmp_path):
-        out = tmp_path / "BENCH_PERF.json"
-        hist = tmp_path / "BENCH_HISTORY.jsonl"
-        assert main(["dispatch", "--smoke", "--out", str(out),
-                     "--history", str(hist), "--no-history"]) == 0
-        assert not hist.exists()
 
-    def test_divergence_exits_nonzero_with_message(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """The smoke path's failure mode is an exit code and a
-        diagnostic, not a traceback."""
-        import repro.bench as bench
+@pytest.fixture(scope="module")
+def runs():
+    return {
+        backend: run_backend(backend)
+        for backend in ("python", "vectorized")
+    }
 
-        digests = iter(["aaa", "bbb"])
 
-        def fake(smoke, backend, nodes):
-            return (
-                {"events": 10, **bench._wall_stats([0.01]), "runs": 1,
-                 "nodes": nodes, "clusters": 16, "backend": backend},
-                next(digests),
-            )
+def test_backends_equivalent(runs):
+    python_digest, python_events, _ = runs["python"]
+    vector_digest, vector_events, _ = runs["vectorized"]
+    assert python_events > 0
+    assert vector_events == python_events
+    assert vector_digest == python_digest
 
-        monkeypatch.setattr(bench, "_functional_propagate", fake)
-        out = tmp_path / "BENCH_PERF.json"
-        code = main(["propagate-vec", "--smoke", "--out", str(out),
-                     "--no-history"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "divergence" in err
-        assert "equivalence gate" in err
-        assert not out.exists()  # no trajectory written on divergence
 
-    def test_default_out_is_repo_trajectory_file(self):
-        assert DEFAULT_OUT == "BENCH_PERF.json"
+def test_vectorized_speedup(runs):
+    python_wall = runs["python"][2]
+    vector_wall = runs["vectorized"][2]
+    assert python_wall / vector_wall >= 3.0
+
+
+def test_flipped_status_bit_breaks_equivalence(runs):
+    flipped_digest, _, _ = run_backend("vectorized", flip_status_bit=True)
+    assert flipped_digest != runs["python"][0]

@@ -9,14 +9,13 @@ Commands
     Synthesize a noisy word lattice from the sentence and run the
     speech parser over it.
 ``experiments [IDS...] [--full] [--list] [--backend B] [--out PATH]
-[--snapshot PATH] [--trace PATH] [--profile PATH]``
+[--snapshot PATH] [--trace PATH]``
     Regenerate the paper's tables/figures and extension studies
     (including ``faultdeg``, the fault-injection degradation sweep,
     and ``overload``, the serving-under-overload sweep).  ``--trace``
     captures every simulation in the run into one Perfetto file (best
-    with a single experiment id), ``--snapshot`` writes the runs'
-    numeric data as a drift-gate snapshot, and ``--profile`` writes
-    wall-clock folded stacks of the whole run.
+    with a single experiment id), and ``--snapshot`` writes the runs'
+    numeric data as a drift-gate snapshot.
 ``serve [--queries N] [--load X] [--fault-fraction F] [--trace PATH]``
     Drive the concurrent query-serving host layer with a synthetic
     arrival stream of inheritance queries and print the serving
@@ -40,32 +39,17 @@ Commands
     windowed telemetry, burn-rate alerts, an ops timeline report, and
     detection scoring against the injected faults (``--check`` exits
     1 when a fault is missed).  See ``docs/OBSERVABILITY.md``.
-``bench [WORKLOADS...] [--smoke] [--backend B] [--out BENCH_PERF.json]``
-    Measure wall-clock events/sec of the simulator hot paths: the
-    propagate-heavy, fault-recovery, overload-serving, and
-    instruction-dispatch workloads, plus ``propagate-vec``, which runs
-    the large-KB functional lane on both propagation backends and
-    pins their bit-for-bit equivalence (exits non-zero on
-    divergence).  ``--backend python|vectorized|both`` selects the
-    backend for engine lanes.  Every run also appends one record per
-    lane — per-run walls, environment fingerprint — to
-    ``BENCH_HISTORY.jsonl`` (``--history PATH`` / ``--no-history``).
-``perf profile WORKLOAD [--folded-out F --report R --json J]``
-    Run a bench lane under the wall-clock sampling profiler: folded
+``perf profile IDS... [--full] [--folded-out F --report R --json J]``
+    Run experiments under the wall-clock sampling profiler: folded
     flamegraph stacks, a hot-spot report with subsystem bucket
     rollups, and (with ``--trace-join``) a wall-vs-simulated join of
-    real seconds onto pipeline phases.  See ``docs/PERF.md``.
-``perf check [--history PATH] [--window N]``
-    Statistical regression gate over the bench-history trajectory:
-    the newest record per lane vs its trailing window (median
-    baseline, MAD/bootstrap bands).  Exits 1 on a significant
-    regression — the wall-clock counterpart of the ``analyze`` drift
-    gate.
+    real seconds onto pipeline phases.  See ``docs/PERF.md``.  The
+    wall-clock benchmark is ``perfbench/`` (``perfbench/README.md``).
 ``info``
     Print the machine configuration and knowledge-base statistics.
 
-``experiments``, ``trace``, ``analyze``, ``monitor``, ``bench`` and
-``perf`` hand their arguments unchanged to the owning module's
+``experiments``, ``trace``, ``analyze``, ``monitor`` and ``perf``
+hand their arguments unchanged to the owning module's
 ``main`` (``python -m repro SUB --help`` lists that parser's options),
 so ``python -m repro experiments`` and ``python -m
 repro.experiments.runner`` are one parser.
@@ -89,11 +73,8 @@ FORWARDED = {
     "monitor": ("repro.obs.live.cli",
                 "live SLO monitor: windowed telemetry, burn-rate alerts, "
                 "ground-truth detection scoring"),
-    "bench": ("repro.bench",
-              "wall-clock events/sec on the simulator hot paths"),
     "perf": ("repro.obs.perf.cli",
-             "wall-clock observatory: sampling profiler + bench-history "
-             "regression gate"),
+             "wall-clock sampling profiler over experiment runs"),
 }
 
 

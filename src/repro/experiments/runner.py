@@ -43,19 +43,31 @@ DEFAULT_ORDER = tuple(REGISTRY)
 
 
 def run_experiments(
-    ids: Optional[Sequence[str]] = None, fast: bool = True
+    ids: Optional[Sequence[str]] = None,
+    fast: bool = True,
+    backend: Optional[str] = None,
 ) -> List[ExperimentResult]:
-    """Run the selected experiments (all, in paper order, by default)."""
+    """Run the selected experiments (all, in paper order, by default).
+
+    ``backend`` names the propagation backend every functional-engine
+    run uses; the previous process-wide default is restored afterwards.
+    """
+    from ..core.backends import get_default_backend, set_default_backend
+
     selected = list(ids) if ids else list(DEFAULT_ORDER)
-    results = []
     for experiment_id in selected:
         if experiment_id not in REGISTRY:
             raise KeyError(
                 f"unknown experiment {experiment_id!r}; "
                 f"available: {sorted(REGISTRY)}"
             )
-        results.append(REGISTRY[experiment_id](fast=fast))
-    return results
+    previous = get_default_backend()
+    set_default_backend(backend or previous)
+    try:
+        return [REGISTRY[experiment_id](fast=fast)
+                for experiment_id in selected]
+    finally:
+        set_default_backend(previous)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -92,17 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="capture every simulation in the run into one Perfetto "
              "trace (best with a single experiment id)",
     )
-    parser.add_argument(
-        "--profile", metavar="PATH",
-        help="sample wall-clock stacks across the whole run and write "
-             "flamegraph-compatible folded stacks here",
-    )
     args = parser.parse_args(argv)
-
-    if args.backend:
-        from ..core.backends import set_default_backend
-
-        set_default_backend(args.backend)
 
     if args.list:
         for experiment_id in DEFAULT_ORDER:
@@ -121,11 +123,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    profiler = tracer = None
-    if args.profile:
-        from ..obs.perf import SamplingProfiler
-
-        profiler = SamplingProfiler().start()
+    tracer = None
     if args.trace:
         # A process-global tracer captures every nested simulation the
         # selected experiments start, without threading a tracer
@@ -136,19 +134,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_tracer(tracer)
     try:
         results = run_experiments(
-            args.experiments or None, fast=not args.full
+            args.experiments or None, fast=not args.full,
+            backend=args.backend,
         )
     finally:
         if tracer is not None:
             set_tracer(None)
-        if profiler is not None:
-            profile = profiler.stop()
-            with open(args.profile, "w") as handle:
-                handle.write(profile.folded())
-            print(
-                f"wrote {args.profile} ({profile.sample_count} samples, "
-                f"{len(profile.samples)} stacks)"
-            )
     text = "\n\n".join(r.render() for r in results)
     print(text)
     if args.out:

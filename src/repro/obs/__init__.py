@@ -27,9 +27,7 @@ fault schedules (``python -m repro monitor <workload>``).
 
 Wall-clock performance observability lives in :mod:`.perf`: a
 background-thread sampling profiler with flamegraph export
-(``python -m repro perf profile <lane>``), the ``BENCH_HISTORY.jsonl``
-trajectory, and the statistical bench-regression gate
-(``python -m repro perf check``).
+(``python -m repro perf profile <experiment id>``).
 
 Capture entry points: ``python -m repro trace <workload>``
 (:mod:`.capture`), the ``--trace PATH`` flags on ``serve`` and

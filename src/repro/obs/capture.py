@@ -1,8 +1,7 @@
 """Trace-capture workloads: ``python -m repro trace <workload>``.
 
-One-command Perfetto captures of the canonical workloads (the same
-scenarios the wall-clock benchmark exercises, sized for a readable
-timeline rather than a stopwatch):
+One-command Perfetto captures of the canonical workloads, sized for a
+readable timeline rather than a stopwatch:
 
 ``propagate``
     Fan-out-heavy marker propagation on a healthy 16-cluster machine:
@@ -56,11 +55,43 @@ from .validate import validate_chrome_trace
 WORKLOADS = ("propagate", "faults", "overload", "chaos", "fleetchaos")
 
 
+def propagate_setup(faulty: bool = False):
+    """(machine, programs) of the ``propagate``/``faults`` workloads.
+
+    A 360-node hierarchy on a 16-cluster machine, healthy or under an
+    aggressive fault pattern (offline clusters, dead links, transfer
+    corruption), and the ``overload`` experiment's three inheritance
+    programs.
+    """
+    from ..experiments.overload import TEMPLATES
+    from ..isa import assemble
+    from ..machine import MachineConfig, SnapMachine, snap1_16cluster
+    from ..machine.faults import FaultConfig
+    from ..network.generator import generate_hierarchy_kb
+
+    network = generate_hierarchy_kb(360, branching=3)
+    if faulty:
+        config = MachineConfig(
+            num_clusters=16,
+            mus_per_cluster=3,
+            faults=FaultConfig(
+                seed=11,
+                failed_cluster_fraction=0.125,
+                mu_loss_prob=0.1,
+                link_fail_prob=0.15,
+                transfer_corrupt_prob=0.08,
+                scp_timeout_prob=0.02,
+            ),
+        )
+    else:
+        config = snap1_16cluster()
+    machine = SnapMachine(network, config)
+    return machine, [assemble(text) for _, text in TEMPLATES]
+
+
 def _capture_machine(
     faulty: bool, smoke: bool
 ) -> Tuple[Tracer, MetricsRegistry, Dict[str, Any]]:
-    from ..bench import propagate_setup
-
     machine, programs = propagate_setup(faulty)
     programs = programs[: 1 if smoke else 2]
     tracer = Tracer()

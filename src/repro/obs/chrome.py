@@ -37,6 +37,7 @@ def export_chrome_json(tracer, metrics=None) -> Dict[str, Any]:
 
     # Stable pid/tid assignment in track-registration order.
     pids: Dict[str, int] = {}
+    threads_in: Dict[int, int] = {}  # pid -> tracks numbered so far
     tids: Dict[int, tuple] = {}
     meta: List[Dict[str, Any]] = []
     for track_id, (process, thread) in enumerate(tracer.tracks):
@@ -47,7 +48,7 @@ def export_chrome_json(tracer, metrics=None) -> Dict[str, Any]:
                 "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
                 "args": {"name": process},
             })
-        tid = sum(1 for t in tids.values() if t[0] == pid) + 1
+        tid = threads_in[pid] = threads_in.get(pid, 0) + 1
         tids[track_id] = (pid, tid)
         meta.append({
             "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,

@@ -9,27 +9,13 @@ the hardware allows" north star is denominated in:
   a deterministic hot-spot report with subsystem bucket rollups, and
   a wall-vs-simulated join that attributes real seconds to pipeline
   phases when a trace is captured on the same run.
-* :mod:`.history` — ``BENCH_HISTORY.jsonl`` (one line per bench lane
-  per run, with per-run walls and an environment fingerprint) and a
-  robust median/MAD/bootstrap regression detector over the trailing
-  window.
-* :mod:`.cli` — ``python -m repro perf profile <lane>`` and
-  ``python -m repro perf check`` (exits 1 on a significant
-  regression; the CI gate).
+* :mod:`.cli` — ``python -m repro perf profile ID [ID...]``, which
+  runs experiments under the profiler.
+
+Wall-clock regressions are gated by the repository benchmark
+(``perfbench/``, declared in ``BENCHMARK.json``).
 """
 
-from .history import (
-    DEFAULT_HISTORY,
-    HISTORY_KIND,
-    LaneCheck,
-    append_history,
-    check_history,
-    check_lane,
-    environment_fingerprint,
-    load_history,
-    record_rate,
-    records_from_bench,
-)
 from .profiler import (
     BUCKET_PREFIXES,
     DEFAULT_HZ,
@@ -44,22 +30,12 @@ from .profiler import (
 
 __all__ = [
     "BUCKET_PREFIXES",
-    "DEFAULT_HISTORY",
     "DEFAULT_HZ",
-    "HISTORY_KIND",
-    "LaneCheck",
     "Profile",
     "SamplingProfiler",
-    "append_history",
     "bucket_of",
-    "check_history",
-    "check_lane",
-    "environment_fingerprint",
     "frame_label",
-    "load_history",
     "module_of",
     "phase_durations_us",
-    "record_rate",
-    "records_from_bench",
     "wall_simulated_join",
 ]

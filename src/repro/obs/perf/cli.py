@@ -1,21 +1,13 @@
-"""``python -m repro perf`` — profile lanes, gate on bench history.
+"""``python -m repro perf profile ID [ID...]`` — profile experiments.
 
-Two subcommands:
-
-``profile WORKLOAD``
-    Run one bench lane under the sampling profiler.  Emits folded
-    stacks (``--folded-out``, flamegraph-compatible), the hot-spot
-    report (``--report``, stdout by default), and/or the structured
-    record (``--json``).  ``--trace-join`` additionally captures a
-    simulated-time trace on the same run and joins real seconds onto
-    pipeline phases (DES lanes; engine lanes report an empty join).
-
-``check``
-    Read ``BENCH_HISTORY.jsonl`` and classify the newest record of
-    every lane against its trailing window (median baseline, MAD or
-    bootstrap band — see :mod:`.history`).  Exits 1 on any
-    ``regression`` verdict; everything else (noise, improvement,
-    insufficient history, unreliable) exits 0.
+Runs the selected experiments (the ids of ``python -m repro
+experiments``, fast mode unless ``--full``) under the sampling
+profiler.  Emits folded stacks (``--folded-out``,
+flamegraph-compatible), the hot-spot report with its subsystem rollup
+(``--report``, stdout by default), and/or the structured record
+(``--json``).  ``--trace-join`` additionally captures every simulation
+of the run with the process-global tracer, as ``experiments --trace``
+does, and joins real seconds onto pipeline phases.
 """
 
 from __future__ import annotations
@@ -25,14 +17,6 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from .history import (
-    DEFAULT_HISTORY,
-    DEFAULT_MIN_WINDOW,
-    DEFAULT_REL_FLOOR,
-    DEFAULT_WINDOW,
-    check_history,
-    load_history,
-)
 from .profiler import (
     DEFAULT_HZ,
     SamplingProfiler,
@@ -41,10 +25,9 @@ from .profiler import (
 )
 
 
-def _profile_workload(args) -> int:
-    from ...bench import _RUNNERS, BackendDivergenceError
+def _profile_experiments(args) -> int:
+    from ...experiments.runner import run_experiments
 
-    runner = _RUNNERS[args.workload]
     tracer = None
     if args.trace_join:
         from .. import Tracer, set_tracer
@@ -54,15 +37,12 @@ def _profile_workload(args) -> int:
     profiler = SamplingProfiler(hz=args.hz)
     profiler.start()
     try:
-        lane = runner(smoke=args.smoke, backend=args.backend)
-    except BackendDivergenceError as exc:
-        print(f"perf profile: {exc}", file=sys.stderr)
-        return 1
+        run_experiments(
+            args.experiments, fast=not args.full, backend=args.backend
+        )
     finally:
         profile = profiler.stop()
         if tracer is not None:
-            from .. import set_tracer
-
             set_tracer(None)
 
     join_rows: Optional[List[Dict[str, Any]]] = None
@@ -73,12 +53,12 @@ def _profile_workload(args) -> int:
             profile, phase_durations_us(from_tracer(tracer))
         )
 
-    label = args.workload + (" --smoke" if args.smoke else "")
+    label = " ".join(args.experiments) + (" --full" if args.full else "")
     report = profile.report(label=label, top=args.top, join_rows=join_rows)
     if profile.sample_count == 0:
         print(
             "perf profile: no samples captured — raise --hz or profile "
-            "a longer (non-smoke) run", file=sys.stderr,
+            "a longer (--full) run", file=sys.stderr,
         )
     if args.folded_out:
         with open(args.folded_out, "w") as handle:
@@ -86,13 +66,9 @@ def _profile_workload(args) -> int:
         print(f"wrote {args.folded_out} ({len(profile.samples)} stacks)")
     if args.json:
         record = profile.as_dict(top=args.top, join_rows=join_rows)
-        record["workload"] = args.workload
-        record["smoke"] = args.smoke
+        record["experiments"] = list(args.experiments)
+        record["full"] = args.full
         record["backend"] = args.backend
-        record["lane"] = {
-            key: value for key, value in lane.items()
-            if isinstance(value, (int, float, str, bool)) or value is None
-        }
         with open(args.json, "w") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -106,58 +82,10 @@ def _profile_workload(args) -> int:
     return 0
 
 
-def _check_history(args) -> int:
-    try:
-        records = load_history(args.history)
-    except FileNotFoundError:
-        print(
-            f"perf check: no history at {args.history!r} "
-            "(run `python -m repro bench` to start one)",
-            file=sys.stderr,
-        )
-        return 2
-    except ValueError as exc:
-        print(f"perf check: {exc}", file=sys.stderr)
-        return 2
-    ok, checks = check_history(
-        records, window=args.window, min_window=args.min_window,
-        rel_floor=args.rel_floor, band=args.band,
-    )
-    if not checks:
-        print(f"perf check: history {args.history!r} holds no lane records")
-    for check in checks:
-        prefix = "REGRESSION " if check.gating else ""
-        print(prefix + check.describe())
-    if args.json:
-        document = {
-            "kind": "repro-perf-check",
-            "history": args.history,
-            "ok": ok,
-            "lanes": [
-                {
-                    "lane": check.lane,
-                    "verdict": check.verdict,
-                    "newest_rate": check.newest_rate,
-                    "baseline_rate": check.baseline_rate,
-                    "change": check.change,
-                    "allowed": check.allowed,
-                    "window": check.window,
-                    "detail": check.detail,
-                }
-                for check in checks
-            ],
-        }
-        with open(args.json, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    print("perf check: " + ("ok" if ok else "regression detected"))
-    return 0 if ok else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from ...bench import BACKEND_CHOICES, WORKLOADS
+    from ...core.backends import BACKENDS
+    from ...experiments.runner import DEFAULT_ORDER
 
     parser = argparse.ArgumentParser(
         prog="python -m repro perf", description=__doc__,
@@ -166,14 +94,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "profile", help="sample a bench lane's wall-clock stacks"
+        "profile", help="sample the wall-clock stacks of experiments"
     )
-    p.add_argument("workload", choices=WORKLOADS,
-                   help="bench lane to run under the profiler")
-    p.add_argument("--smoke", action="store_true",
-                   help="small lane sizes (shorter profile)")
-    p.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                   help="propagation backend for engine lanes")
+    p.add_argument("experiments", nargs="+", choices=DEFAULT_ORDER,
+                   metavar="ID",
+                   help=f"experiment ids to run (of {DEFAULT_ORDER})")
+    p.add_argument("--full", action="store_true",
+                   help="paper-scale knowledge bases (longer profile)")
+    p.add_argument("--backend", choices=sorted(BACKENDS), default=None,
+                   help="propagation backend for functional-engine runs")
     p.add_argument("--hz", type=float, default=DEFAULT_HZ,
                    help=f"sampling rate (default {DEFAULT_HZ:g})")
     p.add_argument("--top", type=int, default=15,
@@ -185,32 +114,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--json", metavar="PATH",
                    help="write the structured profile record")
     p.add_argument("--trace-join", action="store_true",
-                   help="capture a simulated-time trace on the same run "
-                        "and join wall seconds onto pipeline phases")
-    p.set_defaults(fn=_profile_workload)
+                   help="trace every simulation of the run and join "
+                        "wall seconds onto pipeline phases")
 
-    p = sub.add_parser(
-        "check", help="gate on the bench-history trajectory"
-    )
-    p.add_argument("--history", default=DEFAULT_HISTORY,
-                   help=f"history path (default {DEFAULT_HISTORY})")
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                   help="trailing records per lane to compare against "
-                        f"(default {DEFAULT_WINDOW})")
-    p.add_argument("--min-window", type=int, default=DEFAULT_MIN_WINDOW,
-                   help="comparable records required before a verdict "
-                        f"(default {DEFAULT_MIN_WINDOW})")
-    p.add_argument("--rel-floor", type=float, default=DEFAULT_REL_FLOOR,
-                   help="relative band floor around the baseline "
-                        f"(default {DEFAULT_REL_FLOOR:g})")
-    p.add_argument("--band", choices=("mad", "bootstrap"), default="mad",
-                   help="window-spread estimator (default mad)")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the check verdicts as JSON")
-    p.set_defaults(fn=_check_history)
-
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    return _profile_experiments(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

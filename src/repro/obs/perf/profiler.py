@@ -51,7 +51,7 @@ MAX_STACK_DEPTH = 128
 #: Subsystem buckets for the module rollup, longest prefix wins.
 #: ``repro.core.backends`` is split out from ``repro.core`` (and
 #: ``repro.machine.des`` from ``repro.machine``) because those two
-#: modules are the hot kernels the bench lanes exist to watch.
+#: modules are the hot kernels perfbench's rollup metrics watch.
 BUCKET_PREFIXES = (
     "repro.core.backends",
     "repro.core",

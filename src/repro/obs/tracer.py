@@ -32,8 +32,8 @@ every query its own thread so a query's admission → attempts → hedges
 The default tracer everywhere is :data:`NULL_TRACER`, whose
 ``enabled`` flag is ``False``: instrumented hot paths guard on that
 flag (one attribute read) and skip all event construction, which is
-how the bench contract (≤5 % overhead with tracing disabled, see
-``docs/OBSERVABILITY.md``) is met.
+how the detached-cost contract (perfbench bounds with tracing
+disabled, see ``docs/OBSERVABILITY.md``) is met.
 """
 
 from __future__ import annotations

@@ -2,19 +2,14 @@
 
 Covers the backend registry/selection API, the vectorized backend's
 adjacency-cache lifecycle, the table-driven instruction dispatch
-(including subclass fallback), deterministic collect ordering across
-partition policies, and the bench harness's unreliable-wall flag.
+(including subclass fallback), and deterministic collect ordering
+across partition policies.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.bench import (
-    MIN_RELIABLE_WALL_S,
-    _finalize_rate,
-    _scrub_nondeterministic,
-)
 from repro.core import (
     BACKENDS,
     ExecutionError,
@@ -246,38 +241,3 @@ def test_collect_order_identical_across_policies(backend):
     leading = [row[0] for row in relation_rows]
     assert len(set(leading)) < len(leading)
     assert relation_rows == sorted(relation_rows)
-
-
-# ----------------------------------------------------------------------
-# Bench reliability flag and snapshot scrub (pure helpers)
-# ----------------------------------------------------------------------
-def test_finalize_rate_flags_unreliable_wall():
-    row = _finalize_rate({"events": 100, "wall_s": MIN_RELIABLE_WALL_S / 10})
-    assert row["unreliable"] is True
-    assert row["events_per_sec"] > 0
-
-
-def test_finalize_rate_zero_wall():
-    row = _finalize_rate({"events": 100, "wall_s": 0.0})
-    assert row["unreliable"] is True
-    assert row["events_per_sec"] == 0.0
-
-
-def test_finalize_rate_reliable_wall():
-    row = _finalize_rate({"events": 100, "wall_s": 2.0})
-    assert "unreliable" not in row
-    assert row["events_per_sec"] == 50.0
-
-
-def test_snapshot_scrub_recursive():
-    record = {
-        "events": 10,
-        "wall_s": 0.5,
-        "events_per_sec": 20.0,
-        "unreliable": True,
-        "backends": {
-            "python": {"events": 10, "wall_s": 0.4, "speedup": 2.0},
-        },
-    }
-    scrubbed = _scrub_nondeterministic(record)
-    assert scrubbed == {"events": 10, "backends": {"python": {"events": 10}}}

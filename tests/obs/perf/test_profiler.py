@@ -61,7 +61,7 @@ class TestBuckets:
         ("repro.machine.des:run", "repro.machine.des"),
         ("repro.machine.simulator:_deliver", "repro.machine"),
         ("repro.host.host:serve", "repro.host"),
-        ("repro.bench:bench_propagate", "repro"),
+        ("repro.__main__:main", "repro"),
         ("numpy.core.numeric:dot", "numpy"),
         ("threading:wait", "other"),
     ])
@@ -109,8 +109,8 @@ class TestCounts:
 
     def test_bucket_rollup_sorted_by_exclusive(self):
         profile = _profile({
-            ("repro.bench:main", "repro.core.backends:propagate"): 5,
-            ("repro.bench:main", "repro.core.engine:execute"): 2,
+            ("repro.__main__:main", "repro.core.backends:propagate"): 5,
+            ("repro.__main__:main", "repro.core.engine:execute"): 2,
         })
         rollup = profile.bucket_rollup()
         assert rollup[0]["bucket"] == "repro.core.backends"
@@ -203,8 +203,8 @@ class TestSamplerLifecycle:
 class TestWallSimulatedJoin:
     def test_join_attributes_wall_to_matching_phases(self):
         profile = _profile({
-            ("repro.bench:main", "repro.core.backends:propagate"): 8,
-            ("repro.bench:main", "repro.core.engine:collect"): 2,
+            ("repro.__main__:main", "repro.core.backends:propagate"): 8,
+            ("repro.__main__:main", "repro.core.engine:collect"): 2,
         })
         rows = wall_simulated_join(
             profile, {"PROPAGATE #3": 300.0, "COLLECT-NODE #4": 700.0}

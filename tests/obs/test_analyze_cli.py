@@ -136,20 +136,6 @@ class TestSnapshotWiring:
         assert document["capture"]["workload"] == "propagate"
         assert "counters" in document["metrics"]
 
-    def test_bench_snapshot_excludes_wall_time(self, tmp_path):
-        from repro.bench import main as bench_main
-
-        snapshot = tmp_path / "bench-snap.json"
-        assert bench_main(
-            ["propagate", "--smoke", "--out", str(tmp_path / "b.json"),
-             "--snapshot", str(snapshot)]
-        ) == 0
-        document = json.loads(snapshot.read_text())
-        assert document["kind"] == "repro-metrics-snapshot"
-        keys = list(document["values"])
-        assert "propagate.events" in keys
-        assert not any("wall" in k or "per_sec" in k for k in keys)
-
     def test_runner_snapshot(self, tmp_path, capsys):
         from repro.experiments.runner import main as runner_main
 

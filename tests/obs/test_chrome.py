@@ -43,6 +43,19 @@ class TestExporter:
         }
         assert names == {(1, 1): "queue", (2, 1): "controller"}
 
+        # Threads of two processes registered interleaved: each
+        # process numbers its own threads from 1 in registration order.
+        tracer = Tracer()
+        for process, thread in (("A", "t1"), ("B", "t1"), ("A", "t2"),
+                                ("B", "t2"), ("A", "t3")):
+            tracer.instant(tracer.track(process, thread), "x", 0.0)
+        document = export_chrome_json(tracer)
+        ids = [
+            (e["pid"], e["tid"]) for e in document["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        ]
+        assert ids == [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]
+
     def test_body_sorted_by_timestamp(self):
         tracer = _small_capture()
         # Captured out of order on the same track.

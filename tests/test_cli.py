@@ -82,40 +82,12 @@ class TestCli:
         assert code == 0
         assert "breaker_opens" in out
 
-    def test_bench_command_writes_history(self, tmp_path, capsys):
-        out = tmp_path / "perf.json"
-        hist = tmp_path / "history.jsonl"
-        code = main([
-            "bench", "dispatch", "--smoke", "--out", str(out),
-            "--history", str(hist),
-        ])
-        assert code == 0
-        assert out.exists()
-        assert hist.exists()
-        assert "appended 1 lane record(s)" in capsys.readouterr().out
-
-    def test_perf_check_routes_through_top_level_cli(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        from tests.obs.perf.test_history import NOISE_RATES, history
-
-        hist = tmp_path / "history.jsonl"
-        hist.write_text("".join(
-            json.dumps(record) + "\n"
-            for record in history(NOISE_RATES, newest_rate=101_000)
-        ))
-        code = main(["perf", "check", "--history", str(hist)])
-        assert code == 0
-        assert "perf check: ok" in capsys.readouterr().out
-
     def test_perf_profile_routes_through_top_level_cli(
         self, tmp_path, capsys
     ):
-        folded = tmp_path / "dispatch.folded"
+        folded = tmp_path / "fig21.folded"
         code = main([
-            "perf", "profile", "dispatch", "--smoke",
+            "perf", "profile", "fig21",
             "--folded-out", str(folded), "--report", str(tmp_path / "r.md"),
         ])
         assert code == 0

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from repro.__main__ import FORWARDED, main
-from repro.experiments.runner import main as runner_main
+from repro.core.backends import get_default_backend
+from repro.experiments.runner import REGISTRY, main as runner_main
 from repro.obs.capture import WORKLOADS
 from repro.obs.live.cli import MONITOR_WORKLOADS
 from repro.obs.validate import validate_chrome_trace
@@ -24,7 +25,6 @@ PAPER_ORDER = [
 
 EXPERIMENT_FLAGS = (
     "--full", "--out", "--snapshot", "--list", "--backend", "--trace",
-    "--profile",
 )
 
 
@@ -60,6 +60,15 @@ class TestForwarding:
         assert offered_choices(["monitor", "bogus"], capsys) == sorted(
             MONITOR_WORKLOADS
         )
+
+    def test_perf_profile_choices_are_the_registry(self, capsys):
+        offered = offered_choices(["perf", "profile", "bogus"], capsys)
+        assert sorted(offered) == sorted(REGISTRY)
+
+    def test_experiments_backend_does_not_leak(self, capsys):
+        before = get_default_backend()
+        assert main(["experiments", "fig21", "--backend", "vectorized"]) == 0
+        assert get_default_backend() == before
 
     @pytest.mark.parametrize("command", sorted(FORWARDED))
     def test_help_exits_zero(self, command, capsys):
