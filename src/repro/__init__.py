@@ -20,7 +20,7 @@ Packages
 ``repro.machine``
     Discrete-event simulator of the SNAP-1 hardware: clusters
     (PU/MU/CU), global bus, hypercube ICN, tiered synchronization,
-    controller pipeline, performance-collection network.
+    controller pipeline (performance collection is ``repro.obs``).
 ``repro.baselines``
     Serial (single-PE) and CM-2-style SIMD comparison machines.
 ``repro.apps``

@@ -1,18 +1,20 @@
-"""Machine-activity timelines from the performance-collection network.
+"""Machine-activity timelines from the tracer.
 
-The paper's instrumentation streams timestamped event records to a
-central collection board "for analysis or transfer to mass storage"
-(§III-B).  This module is that analysis: text-rendered Gantt charts of
-instruction overlap (where β-parallelism is visible as stacked bars)
-and per-cluster activity strips built from the monitoring records.
+The paper's instrumentation streams timestamped event records over a
+separate performance-collection network to a central board "for
+analysis or transfer to mass storage" (§III-B).  Here the tracer
+(:mod:`repro.obs.tracer`) is that board, and this module is the
+analysis: text-rendered Gantt charts of instruction overlap (where
+β-parallelism is visible as stacked bars) and per-cluster activity
+strips built from the traced machine tracks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..machine.perfnet import EventCode, PerfRecord
 from ..machine.report import InstructionTrace, MachineRunReport
+from ..obs.tracer import Tracer
 
 
 def instruction_gantt(
@@ -47,36 +49,53 @@ def instruction_gantt(
     return "\n".join(lines)
 
 
-#: Event codes that count as "activity" for a source row.
-_ACTIVITY_CODES = {
-    EventCode.TASK_START,
-    EventCode.TASK_END,
-    EventCode.MSG_SEND,
-    EventCode.MSG_RECV,
-    EventCode.MSG_FORWARD,
-}
+def _activity_row(thread: str) -> Optional[int]:
+    """Strip for a machine track: its cluster id, -1 for the controller.
+
+    A cluster's CU track (``cluster NN cu``) shares the cluster's row;
+    the pipeline lanes (``pipe N``) share the controller's.  Other
+    tracks (DES kernel, ICN counters, faults) have no strip.
+    """
+    if thread == "controller" or thread.startswith("pipe "):
+        return -1
+    if thread.startswith("cluster "):
+        return int(thread.split()[1])
+    return None
 
 
 def cluster_activity(
-    records: Iterable[PerfRecord],
+    tracer: Tracer,
     total_time_us: float,
     width: int = 64,
 ) -> str:
-    """Per-cluster activity strips from monitoring records.
+    """Per-cluster activity strips from a traced machine run.
 
-    Each row is a cluster (row ``ctl`` is the controller, source -1);
-    a ``#`` marks a time bucket with at least one monitored event.
+    Each row is a cluster (row ``ctl`` is the controller and its
+    pipeline lanes); a ``#`` marks a time bucket touched by at least
+    one span, instant or counter sample on that row's tracks.
     """
-    records = list(records)
-    if not records or total_time_us <= 0:
-        return "(no monitoring records)"
+    rows = [_activity_row(thread) for _, thread in tracer.tracks]
     buckets: Dict[int, List[bool]] = {}
-    for record in records:
-        if record.code not in _ACTIVITY_CODES and record.source != -1:
-            continue
-        row = buckets.setdefault(record.source, [False] * width)
-        index = min(width - 1, int(record.time / total_time_us * width))
-        row[index] = True
+
+    def mark(track: int, begin: float, end: float) -> None:
+        row = rows[track]
+        if row is None:
+            return
+        strip = buckets.setdefault(row, [False] * width)
+        first = min(width - 1, max(0, int(begin / total_time_us * width)))
+        last = min(width - 1, max(first, int(end / total_time_us * width)))
+        for index in range(first, last + 1):
+            strip[index] = True
+
+    if total_time_us > 0:
+        for track, _, begin, end, _ in tracer.spans:
+            mark(track, begin, begin if end is None else end)
+        for track, _, ts, _ in tracer.instants:
+            mark(track, ts, ts)
+        for track, _, ts, _ in tracer.counters:
+            mark(track, ts, ts)
+    if not buckets:
+        return "(no monitoring records)"
     lines = []
     for source in sorted(buckets):
         label = "ctl" if source == -1 else f"c{source:02d}"
@@ -103,20 +122,9 @@ def overlap_factor(traces: Sequence[InstructionTrace]) -> float:
 
 
 def render_report_timeline(report: MachineRunReport, width: int = 64) -> str:
-    """Both views for one run report."""
-    parts = [
+    """Instruction-overlap Gantt chart and overlap factor for one run."""
+    return "\n".join([
         "instruction overlap (Gantt):",
         instruction_gantt(report.traces, width=width),
-    ]
-    if report.perf_records:
-        parts += [
-            "",
-            "cluster activity (perf-collection network):",
-            cluster_activity(
-                report.perf_records, report.total_time_us, width=width
-            ),
-        ]
-    parts.append(
-        f"\nmean in-flight instructions: {overlap_factor(report.traces):.2f}"
-    )
-    return "\n".join(parts)
+        f"\nmean in-flight instructions: {overlap_factor(report.traces):.2f}",
+    ])

@@ -255,10 +255,8 @@ class ServingHost:
         stuck = [s.query.query_id for s in self._states if not s.terminal]
         if stuck:
             raise RuntimeError(f"serving deadlock: queries {stuck}")
-        if self._observed:
-            self._note_post_run()
-        if self._sink is not None:
-            self._emit_lifecycle_telemetry()
+        if self._observed or self._sink is not None:
+            self._replay_lifecycle()
         return self._build_report()
 
     def health_export(self) -> Dict[str, Any]:
@@ -489,81 +487,81 @@ class ServingHost:
                     now - state.query.arrival_us
                 )
 
-    def _note_post_run(self) -> None:
-        """Replay breaker audit trails into the capture (post-run,
-        so the serving hot path pays nothing per transition)."""
+    def _replay_lifecycle(self) -> None:
+        """Replay the lifecycle ledgers into every attached observer.
+
+        Breaker/health transitions and audit verdicts accumulate in
+        their own ledgers during the run; one post-run pass feeds the
+        tracer, the metrics and the telemetry sink, so the serving hot
+        path pays nothing per transition.  Each observer sees its
+        events in ledger order with their original simulated
+        timestamps, so windowed sink consumers see them in the right
+        place on the timeline after the ``(ts_us, seq)`` sort.
+        """
+        tr = self._tr
+        m = self._metrics
+        emit = self._sink.emit if self._sink is not None else None
         open_state = BreakerState.OPEN
         for replica in self._replicas:
             rid = replica.replica_id
             for t in replica.breaker.transitions:
-                if self._tr is not None:
-                    self._tr.instant(
+                if tr is not None:
+                    tr.instant(
                         self._tk_replica[rid],
                         f"breaker-{t.to_state.value}",
                         t.time_us, from_state=t.from_state.value,
                     )
-                if self._metrics is not None:
-                    self._metrics.counter("host.breaker.transitions").inc()
+                if m is not None:
+                    m.counter("host.breaker.transitions").inc()
                     if t.to_state is open_state:
-                        self._metrics.counter("host.breaker.opens").inc()
+                        m.counter("host.breaker.opens").inc()
+                if emit is not None:
+                    emit(
+                        t.time_us, "breaker", replica=rid,
+                        from_state=t.from_state.value,
+                        to_state=t.to_state.value,
+                    )
         for rid, health in enumerate(self._health):
-            for t in health.transitions:
-                if self._tr is not None:
-                    self._tr.instant(
+            records = (
+                health_transition_records(health, rid)
+                if emit is not None else None
+            )
+            for i, t in enumerate(health.transitions):
+                if tr is not None:
+                    tr.instant(
                         self._tk_replica[rid],
                         f"health-{t.to_state.value}",
                         t.time_us, from_state=t.from_state.value,
                         phi=round(t.phi, 3), reason=t.reason,
                     )
-                if self._metrics is not None:
-                    m = self._metrics
+                if m is not None:
                     m.counter("host.health.transitions").inc()
                     if t.to_state is _QUARANTINED:
                         m.counter("host.health.quarantines").inc()
                     elif t.to_state is HealthState.ACTIVE:
                         m.counter("host.health.readmissions").inc()
-        if self._health and self._metrics is not None:
+                if emit is not None:
+                    ts, fields = records[i]
+                    emit(ts, "health", **fields)
+        if self._health and m is not None:
             probes = sum(h.probes for h in self._health)
             if probes:
-                self._metrics.counter("host.health.probes").inc(probes)
+                m.counter("host.health.probes").inc(probes)
         for when, qid, rid, ok in self._audit_log:
-            if self._tr is not None and 0 <= rid < len(self._tk_replica):
-                self._tr.instant(
+            if tr is not None and 0 <= rid < len(self._tk_replica):
+                tr.instant(
                     self._tk_replica[rid],
                     "audit-ok" if ok else "audit-mismatch",
                     when, query=qid,
                 )
-        if self._audit_log and self._metrics is not None:
-            self._metrics.counter("host.audit.checks").inc(self.audit_checks)
+            if emit is not None:
+                emit(when, "audit", query_id=qid, replica=rid, ok=ok)
+        if self._audit_log and m is not None:
+            m.counter("host.audit.checks").inc(self.audit_checks)
             if self.audit_mismatches:
-                self._metrics.counter("host.audit.mismatches").inc(
+                m.counter("host.audit.mismatches").inc(
                     self.audit_mismatches
                 )
-
-    def _emit_lifecycle_telemetry(self) -> None:
-        """Replay lifecycle trails into the telemetry sink (post-run).
-
-        Breaker/health transitions and audit verdicts accumulate in
-        their own ledgers during the run; replaying them here keeps
-        the serving hot path free of per-transition sink calls.  The
-        events carry their original simulated timestamps, so windowed
-        consumers see them in the right place on the timeline after
-        the ``(ts_us, seq)`` sort.
-        """
-        emit = self._sink.emit
-        for replica in self._replicas:
-            rid = replica.replica_id
-            for t in replica.breaker.transitions:
-                emit(
-                    t.time_us, "breaker", replica=rid,
-                    from_state=t.from_state.value,
-                    to_state=t.to_state.value,
-                )
-        for rid, health in enumerate(self._health):
-            for record in health_transition_records(health, rid):
-                emit(record[0], "health", **record[1])
-        for when, qid, rid, ok in self._audit_log:
-            emit(when, "audit", query_id=qid, replica=rid, ok=ok)
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -2,8 +2,10 @@
 
 Component models: clusters of PU/MU/CU functional units over multiport
 memories, the global broadcast bus, the 4-ary hypercube interconnect,
-tiered barrier synchronization, the dual-processor controller, and the
-performance-collection network.  The façade is :class:`SnapMachine`.
+tiered barrier synchronization, and the dual-processor controller.
+The performance-collection network is the tracer
+(:mod:`repro.obs.tracer`), attached per run.  The façade is
+:class:`SnapMachine`.
 """
 
 from .config import (
@@ -54,12 +56,6 @@ from .sync import (
     TieredSynchronizer,
     barrier_cost,
 )
-from .perfnet import (
-    EventCode,
-    PerfRecord,
-    PerformanceCollector,
-    RECORD_TRANSFER_US,
-)
 from .cluster import (
     ACTIVATION_QUEUE_CAPACITY,
     ClusterSim,
@@ -86,8 +82,6 @@ __all__ = [
     "SemaphoreTable",
     "SyncError", "SyncPoint", "SyncStats", "TieredSynchronizer",
     "barrier_cost",
-    "EventCode", "PerfRecord", "PerformanceCollector",
-    "RECORD_TRANSFER_US",
     "ACTIVATION_QUEUE_CAPACITY", "ClusterSim", "build_clusters",
     "pe_index_of_cluster", "work_service_time",
     "InstructionTrace", "MachineRunReport", "OverheadBreakdown",

@@ -99,8 +99,6 @@ class MachineRunReport:
     sync_stats: SyncStats = field(default_factory=SyncStats)
     icn_stats: IcnStats = field(default_factory=IcnStats)
     cluster_busy: List[Dict[str, float]] = field(default_factory=list)
-    #: Raw monitoring records from the performance-collection network.
-    perf_records: List = field(default_factory=list)
     events_processed: int = 0
     num_clusters: int = 0
     total_pes: int = 0

@@ -15,8 +15,9 @@ full timing:
    hypercube, store-and-forwarding through intermediate CUs;
 5. the **tiered synchronizer** detects propagation termination from
    per-level produced/consumed counts and charges the barrier cost;
-6. the **performance collection network** records every monitoring
-   event for the run report.
+6. an attached tracer (:mod:`repro.obs.tracer`), the counterpart of
+   SNAP-1's performance-collection network, records the monitoring
+   events; with none attached the run records nothing.
 
 Semantics are delegated to :class:`repro.core.state.MachineState` —
 the same primitives the functional engine uses — so the timed machine
@@ -49,7 +50,6 @@ from .config import MachineConfig
 from .des import Job, Simulator, Timeout
 from .faults import FaultInjector
 from .icn import HypercubeTopology
-from .perfnet import EventCode, PerformanceCollector
 from .report import InstructionTrace, MachineRunReport, OverheadBreakdown
 from .sync import SyncStats, TieredSynchronizer, barrier_cost
 
@@ -129,7 +129,6 @@ class SnapSimulation:
             c for c in self.clusters if not c.failed
         ]
         self.syncer = TieredSynchronizer(config.total_pes)
-        self.perf = PerformanceCollector()
         self.report = MachineRunReport(
             num_clusters=config.num_clusters,
             total_pes=config.total_pes,
@@ -239,7 +238,6 @@ class SnapSimulation:
             self._traces[i] for i in sorted(self._traces)
         ]
         self.report.events_processed = self.sim.events_processed
-        self.report.perf_records = list(self.perf.records)
         for cluster in self.clusters:
             summary = cluster.busy_summary()
             summary["mu_servers"] = cluster.num_mus
@@ -526,7 +524,6 @@ class SnapSimulation:
         service = self.timing.t_pcp + self.timing.t_broadcast
         self.report.overheads.broadcast += self.timing.t_broadcast
         self._attribute(instr.category, self.timing.t_broadcast)
-        self.perf.record(self.sim.now, -1, EventCode.INSTR_ISSUE, index)
         job = Job(service, on_done=self._broadcast_done, args=(st,))
         if self._tr is not None:
             self._trace_issue(st)
@@ -691,7 +688,6 @@ class SnapSimulation:
         st.work_ops += work.total()
         service = work_service_time(work, self.timing)
         self._attribute(Category.PROPAGATE, service)
-        self.perf.record(self.sim.now, cid, EventCode.TASK_START, st.index)
         job = Job(
             service,
             on_done=self._seed_scan_done,
@@ -851,7 +847,6 @@ class SnapSimulation:
         )
         self.report.overheads.communication += latency
         self._attribute(Category.PROPAGATE, latency)
-        self.perf.record(self.sim.now, src, EventCode.MSG_SEND, st.index)
         if self._tr is not None:
             ts = self._off + self.sim.now
             self._tr.instant(
@@ -947,9 +942,6 @@ class SnapSimulation:
         else:
             target = path[hop_index]
             forwarder = self.clusters[target]
-            self.perf.record(
-                self.sim.now, target, EventCode.MSG_FORWARD, st.index
-            )
             job = Job(
                 self.timing.t_forward,
                 on_done=self._advance_message,
@@ -1073,9 +1065,6 @@ class SnapSimulation:
             st.pending -= 1
             self._check_propagate_done(st)
             return
-        self.perf.record(
-            self.sim.now, msg.dest_cluster, EventCode.MSG_RECV, st.index
-        )
         if self._tr is not None:
             self._tr.instant(
                 self._tk_cluster[msg.dest_cluster], "msg-recv",
@@ -1137,7 +1126,6 @@ class SnapSimulation:
 
     def _barrier_done(self, st: _InstrState) -> None:
         self.report.sync_stats.barrier(self.sim.now, st.index)
-        self.perf.record(self.sim.now, -1, EventCode.BARRIER, st.index)
         self._complete(st)
 
     # ------------------------------------------------------------------
@@ -1171,7 +1159,6 @@ class SnapSimulation:
         )
         self.report.overheads.collection += service
         self._attribute(Category.COLLECT, service)
-        self.perf.record(self.sim.now, -1, EventCode.COLLECT, st.index)
         st.collected.sort(key=lambda item: item[0])
         job = Job(service, on_done=self._complete, args=(st,))
         if self._tr is not None and st.span is not None:
@@ -1199,7 +1186,6 @@ class SnapSimulation:
                 [] if instr.category == Category.COLLECT else None
             ),
         )
-        self.perf.record(self.sim.now, -1, EventCode.INSTR_COMPLETE, st.index)
         if self._tr is not None:
             self._trace_complete(st)
         del self._in_flight[st.index]

@@ -10,8 +10,26 @@ from repro.analysis import (
 )
 from repro.isa import assemble
 from repro.machine import MachineConfig, SnapMachine
-from repro.machine.perfnet import EventCode, PerfRecord
 from repro.machine.report import InstructionTrace
+from repro.obs import Tracer
+
+
+PROGRAM = """
+SEARCH-NODE w:we m1
+SEARCH-NODE w:saw m2
+PROPAGATE m1 m3 chain(is-a) identity
+PROPAGATE m2 m4 chain(is-a) identity
+COLLECT-NODE m3
+"""
+
+
+@pytest.fixture
+def traced_run(fig5_kb):
+    """A real traced run on a 4-cluster machine: (report, tracer)."""
+    tracer = Tracer()
+    machine = SnapMachine(fig5_kb, MachineConfig(4, 2))
+    report = machine.run(assemble(PROGRAM), tracer=tracer)
+    return report, tracer
 
 
 def trace(index, opcode, issue, complete):
@@ -42,19 +60,28 @@ class TestGantt:
 
 
 class TestClusterActivity:
-    def test_rows_per_source(self):
-        records = [
-            PerfRecord(1.0, 0, EventCode.TASK_START),
-            PerfRecord(5.0, 3, EventCode.MSG_SEND),
-            PerfRecord(9.0, -1, EventCode.BARRIER),
+    def test_rows_per_source(self, traced_run):
+        report, tracer = traced_run
+        text = cluster_activity(tracer, report.total_time_us, width=32)
+        busy = [
+            cid for cid, summary in enumerate(report.cluster_busy)
+            if summary["mu_busy"] > 0
         ]
-        text = cluster_activity(records, total_time_us=10.0, width=10)
+        assert busy
+        rows = {
+            line.split("|")[0].strip(): line.split("|")[1]
+            for line in text.splitlines()
+        }
+        for cid in busy:
+            assert "#" in rows[f"c{cid:02d}"]
+
+    def test_controller_row(self, traced_run):
+        report, tracer = traced_run
+        text = cluster_activity(tracer, report.total_time_us)
         assert " ctl |" in text
-        assert " c00 |" in text
-        assert " c03 |" in text
 
     def test_empty(self):
-        assert "no monitoring" in cluster_activity([], 0.0)
+        assert "no monitoring" in cluster_activity(Tracer(), 10.0)
 
 
 class TestOverlapFactor:
@@ -71,19 +98,12 @@ class TestOverlapFactor:
 
 
 class TestEndToEnd:
-    def test_render_real_report(self, fig5_kb):
-        machine = SnapMachine(fig5_kb, MachineConfig(4, 2))
-        report = machine.run(assemble("""
-        SEARCH-NODE w:we m1
-        SEARCH-NODE w:saw m2
-        PROPAGATE m1 m3 chain(is-a) identity
-        PROPAGATE m2 m4 chain(is-a) identity
-        COLLECT-NODE m3
-        """))
+    def test_render_real_report(self, traced_run):
+        report, _ = traced_run
         text = render_report_timeline(report)
         assert "Gantt" in text
         assert "PROPAGATE" in text
-        assert "cluster activity" in text
+        assert "cluster activity" not in text
         assert "mean in-flight" in text
         # The two independent propagates overlap in real runs.
         assert overlap_factor(report.traces) > 1.0
