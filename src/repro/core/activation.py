@@ -18,8 +18,8 @@ index into the compile-time-downloaded rule table.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def from_bfloat16_bits(bits: int) -> float:
     return float(np.uint32(bits << 16).view(np.float32))
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivationMessage:
     """A marker in flight between clusters (or between waves locally).
 

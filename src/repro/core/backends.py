@@ -37,7 +37,6 @@ import numpy as np
 from ..isa.functions import always_alive
 from ..isa.instructions import Propagate, is_complex
 from .state import MAX_EXPANSIONS, MachineState, WorkReport
-from .tables import EMPTY_SLOT
 
 
 @dataclass
@@ -204,53 +203,24 @@ class VectorizedBackend(PropagationBackend):
             else np.zeros(0, dtype=np.int64)
         )
 
+        # Edges are every node's cached link row (a LinkRow: slots
+        # scanned, then five fields per link), in (node, link) order —
+        # exactly the golden model's expansion order.
         indptr = np.zeros(n_total + 1, dtype=np.int64)
         scanned = np.zeros(n_total, dtype=np.int64)
-        rel_parts, destc_parts, destf_parts, w_parts = [], [], [], []
+        rel, dest_cluster, dest_local, weight = [], [], [], []
         for t in clusters:
-            r = t.relations
-            n = t.num_nodes
-            if n == 0:
-                continue
             base = int(offsets[t.cluster_id])
-            reltab = r.relation[:n]
-            cont = r.cont_relation_id
-            needs_walk = r.has_overflow or (
-                cont is not None and bool((reltab == cont).any())
-            )
-            if not needs_walk:
-                # Pure static slots: edges are the filled slots in
-                # (node, slot) order — exactly links_of's order — and
-                # the scan count is the fill count.
-                filled = reltab != EMPTY_SLOT
-                counts = filled.sum(axis=1).astype(np.int64)
-                rows, cols = np.nonzero(filled)
-                dc = r.dest_cluster[:n][rows, cols].astype(np.int64)
-                dl = r.dest_local[:n][rows, cols].astype(np.int64)
-                rel_parts.append(reltab[rows, cols].astype(np.int64))
-                destc_parts.append(dc)
-                destf_parts.append(offsets[dc] + dl)
-                w_parts.append(r.weight[:n][rows, cols].astype(np.float64))
-                indptr[base + 1: base + n + 1] = counts
-                scanned[base: base + n] = counts
-            else:
-                rel_l, dc_l, df_l, w_l = [], [], [], []
-                for lid in range(n):
-                    entries, sc = r.links_of(lid)
-                    scanned[base + lid] = sc
-                    indptr[base + lid + 1] = len(entries)
-                    for e in entries:
-                        rel_l.append(e.relation)
-                        dc_l.append(e.dest_cluster)
-                        df_l.append(int(offsets[e.dest_cluster]) + e.dest_local)
-                        w_l.append(e.weight)
-                rel_parts.append(np.asarray(rel_l, dtype=np.int64))
-                destc_parts.append(np.asarray(dc_l, dtype=np.int64))
-                destf_parts.append(np.asarray(df_l, dtype=np.int64))
-                w_parts.append(np.asarray(w_l, dtype=np.float64))
-
+            for lid in range(t.num_nodes):
+                row = t.relations.links_of(lid)
+                scanned[base + lid] = row[0]
+                indptr[base + lid + 1] = len(row) // 5
+                rel.extend(row[1::5])
+                dest_cluster.extend(row[2::5])
+                dest_local.extend(row[3::5])
+                weight.extend(row[5::5])
         np.cumsum(indptr, out=indptr)
-        empty64 = np.zeros(0, dtype=np.int64)
+        edge_dest_cluster = np.asarray(dest_cluster, dtype=np.int64)
         return _Adjacency(
             offsets=offsets,
             n_total=n_total,
@@ -258,16 +228,13 @@ class VectorizedBackend(PropagationBackend):
             local_of=local_of,
             to_global=to_global,
             indptr=indptr,
-            edge_rel=np.concatenate(rel_parts) if rel_parts else empty64,
-            edge_dest=np.concatenate(destf_parts) if destf_parts else empty64,
-            edge_dest_cluster=(
-                np.concatenate(destc_parts) if destc_parts else empty64
+            edge_rel=np.asarray(rel, dtype=np.int64),
+            edge_dest=(
+                offsets[edge_dest_cluster]
+                + np.asarray(dest_local, dtype=np.int64)
             ),
-            edge_weight=(
-                np.concatenate(w_parts)
-                if w_parts
-                else np.zeros(0, dtype=np.float64)
-            ),
+            edge_dest_cluster=edge_dest_cluster,
+            edge_weight=np.asarray(weight, dtype=np.float64),
             scanned=scanned,
         )
 
@@ -366,25 +333,22 @@ class VectorizedBackend(PropagationBackend):
         def gather_values(flats):
             out = np.empty(flats.size, dtype=np.float64)
             for t, sel, lids in per_cluster(flats):
-                out[sel] = t.node_table.value[lids, m2].astype(np.float64)
+                out[sel] = t.node_table.value[m2, lids].astype(np.float64)
             return out
 
         def scatter_values(flats, values, origins):
             for t, sel, lids in per_cluster(flats):
-                t.node_table.value[lids, m2] = values[sel]
-                t.node_table.origin[lids, m2] = origins[sel]
+                t.node_table.set_values(m2, lids, values[sel], origins[sel])
 
         def read_value(flat):
             cid = int(adj.cluster_of[flat])
             lid = int(adj.local_of[flat])
-            return float(state.clusters[cid].node_table.value[lid, m2])
+            return float(state.clusters[cid].node_table.value[m2, lid])
 
         def write_value(flat, value, origin):
             cid = int(adj.cluster_of[flat])
             lid = int(adj.local_of[flat])
-            table = state.clusters[cid].node_table
-            table.value[lid, m2] = value
-            table.origin[lid, m2] = origin
+            state.clusters[cid].node_table.set_value(lid, m2, value, origin)
 
         # -- wave steps --------------------------------------------------
         def expand(nodes, sidxs, values, origins):
@@ -577,7 +541,7 @@ class VectorizedBackend(PropagationBackend):
                 seed_parts.append(adj.offsets[t.cluster_id] + lids)
                 if complex1:
                     val_parts.append(
-                        t.node_table.value[lids, m1].astype(np.float64)
+                        t.node_table.value[m1, lids].astype(np.float64)
                     )
                 else:
                     val_parts.append(np.zeros(lids.size, dtype=np.float64))

@@ -26,9 +26,9 @@ sequence" reading of marker values, independent of message ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..isa.functions import FunctionRegistry, condition
+from ..isa.functions import FunctionRegistry, HopFunction, always_alive, condition
 from ..isa.instructions import (
     AndMarker,
     ClearMarker,
@@ -39,7 +39,6 @@ from ..isa.instructions import (
     Create,
     Delete,
     FuncMarker,
-    Instruction,
     MarkerCreate,
     MarkerDelete,
     MarkerSetColor,
@@ -54,7 +53,7 @@ from ..isa.instructions import (
     is_complex,
 )
 from ..isa.rules import PropagationRule
-from ..network.builder import preprocess_fanout
+from ..network.builder import continuation_chain, preprocess_fanout
 from ..network.graph import SemanticNetwork
 from ..network.node import Color
 from ..network.partition import Partitioning, make_partition
@@ -71,7 +70,7 @@ class ExecutionError(RuntimeError):
     """Raised when an instruction cannot be executed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkReport:
     """Counters of machine work performed by a primitive.
 
@@ -106,7 +105,7 @@ class WorkReport:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Arrival:
     """A marker delivery pending at a cluster (local or remote origin)."""
 
@@ -136,7 +135,7 @@ class PropagationContext:
     instr: Propagate
     rule: PropagationRule
     compiled: CompiledRule
-    hop_name: str
+    hop: HopFunction
     level: int = 0
     #: (cluster, local, state) -> best value already expanded from.
     expanded: Dict[Tuple[int, int, int], float] = field(default_factory=dict)
@@ -247,7 +246,7 @@ class MachineState:
 
     def node_name(self, gid: int) -> str:
         """Name of a node by global id."""
-        return self.network.node(gid).name
+        return self.network.name_of(gid)
 
     def compile_rule(self, rule: PropagationRule) -> CompiledRule:
         """Translate a rule's relation names into relation ids.
@@ -366,8 +365,15 @@ class MachineState:
     def remove_link_runtime(
         self, source_gid: int, relation: str, dest_gid: int
     ) -> WorkReport:
-        """Remove a link from the network and tables (if present)."""
-        removed = self.network.remove_link(source_gid, relation, dest_gid)
+        """Remove a link from the network and tables (if present).
+
+        A link past a node's 16 slots sits in a continuation subnode's
+        row, so the network and the table both walk the chain.
+        """
+        removed = any(
+            self.network.remove_link(row, relation, dest_gid)
+            for row in continuation_chain(self.network, source_gid)
+        )
         rid = self.network.relations.get(relation)
         if removed and rid is not None:
             src_c, src_l = self.addr[source_gid]
@@ -421,9 +427,9 @@ class MachineState:
         if rid is None:
             return work
         for lid in range(tables.num_nodes):
-            entries, scanned = tables.relations.links_of(lid)
-            work.slots += scanned
-            if any(e.relation == rid for e in entries):
+            row = tables.relations.links_of(lid)
+            work.slots += row[0]
+            if rid in row[1::5]:  # each link's relation field
                 tables.status.set(instr.marker, lid)
                 gid = tables.to_global[lid]
                 tables.node_table.set_value(lid, instr.marker, instr.value, gid)
@@ -455,7 +461,7 @@ class MachineState:
             instr=instr,
             rule=instr.rule,
             compiled=self.compile_rule(instr.rule),
-            hop_name=hop.name,
+            hop=hop,
             level=level,
         )
 
@@ -511,50 +517,41 @@ class MachineState:
         if not moves:
             return [], [], work
 
-        hop = self.functions.hop(ctx.instr.function)
-        tables = self.clusters[arrival.cluster]
-        entries, scanned = tables.relations.links_of(arrival.local)
-        work.slots += scanned
+        hop = ctx.hop
+        alive = None if hop.alive is always_alive else hop.alive
+        cluster = arrival.cluster
+        value = arrival.value
+        origin = arrival.origin
+        level = arrival.level
+        hops = arrival.hops + 1
+        links = iter(self.clusters[cluster].relations.links_of(arrival.local))
+        work.slots = next(links)
 
         local_out: List[Arrival] = []
         remote_out: List[ActivationMessage] = []
-        for entry in entries:
+        for relation, dest_cluster, dest_local, _gid, weight in zip(
+            links, links, links, links, links
+        ):
             for rid, next_state in moves:
-                if entry.relation != rid:
+                if relation != rid:
                     continue
-                new_value = hop.apply(arrival.value, entry.weight)
+                new_value = hop.apply(value, weight)
                 work.fp_ops += 1
-                if not hop.alive(new_value):
+                if alive is not None and not alive(new_value):
                     continue
-                if entry.dest_cluster == arrival.cluster:
-                    local_out.append(
-                        Arrival(
-                            cluster=entry.dest_cluster,
-                            local=entry.dest_local,
-                            state=next_state,
-                            value=new_value,
-                            origin=arrival.origin,
-                            level=arrival.level,
-                            hops=arrival.hops + 1,
-                        )
-                    )
+                if dest_cluster == cluster:
+                    local_out.append(Arrival(
+                        cluster, dest_local, next_state, new_value,
+                        origin, level, hops,
+                    ))
                 else:
                     work.messages += 1
                     ctx.remote_messages += 1
-                    remote_out.append(
-                        ActivationMessage(
-                            marker=ctx.instr.marker2,
-                            value=new_value,
-                            function=0,
-                            rule=ctx.rule,
-                            state=next_state,
-                            dest_cluster=entry.dest_cluster,
-                            dest_local=entry.dest_local,
-                            origin=arrival.origin,
-                            level=arrival.level,
-                            hops=arrival.hops + 1,
-                        )
-                    )
+                    remote_out.append(ActivationMessage(
+                        ctx.instr.marker2, new_value, 0, ctx.rule,
+                        next_state, dest_cluster, dest_local, origin,
+                        level, hops,
+                    ))
         return local_out, remote_out, work
 
     def deliver(
@@ -566,26 +563,27 @@ class MachineState:
         arrival at a (node, rule-state), or when a strictly smaller
         complex-marker value arrives (min-cost fixpoint semantics).
         """
-        instr = ctx.instr
+        marker = ctx.instr.marker2
+        local = arrival.local
         tables = self.clusters[arrival.cluster]
-        work = WorkReport(nodes=1)
+        work = WorkReport(nodes=1, sets=1)
         ctx.total_arrivals += 1
-        ctx.max_hops = max(ctx.max_hops, arrival.hops)
+        if arrival.hops > ctx.max_hops:
+            ctx.max_hops = arrival.hops
 
-        was_clear = tables.status.set(instr.marker2, arrival.local)
-        work.sets += 1
-        if is_complex(instr.marker2):
-            current = tables.node_table.get_value(arrival.local, instr.marker2)
-            if was_clear or arrival.value < current:
-                tables.node_table.set_value(
-                    arrival.local, instr.marker2, arrival.value, arrival.origin
-                )
+        was_clear = tables.status.set(marker, local)
+        valued = is_complex(marker)
+        if valued:
+            registers = tables.node_table
+            if was_clear or arrival.value < registers.get_value(local, marker):
+                registers.set_value(local, marker, arrival.value,
+                                    arrival.origin)
                 work.fp_ops += 1
 
-        key = (arrival.cluster, arrival.local, arrival.state)
+        key = (arrival.cluster, local, arrival.state)
         if key not in ctx.expanded:
             return True, work
-        if is_complex(instr.marker2) and arrival.value < ctx.expanded[key]:
+        if valued and arrival.value < ctx.expanded[key]:
             return True, work
         return False, work
 
@@ -697,8 +695,7 @@ class MachineState:
         tables.status.set_all(instr.marker)
         work = WorkReport(words=tables.status.num_words)
         if is_complex(instr.marker):
-            tables.node_table.value[:, instr.marker] = instr.value
-            tables.node_table.origin[:, instr.marker] = -1
+            tables.node_table.fill(instr.marker, instr.value)
             work.fp_ops += tables.num_nodes
         return work
 
@@ -708,8 +705,7 @@ class MachineState:
         tables.status.clear_all(instr.marker)
         work = WorkReport(words=tables.status.num_words)
         if is_complex(instr.marker):
-            tables.node_table.value[:, instr.marker] = 0.0
-            tables.node_table.origin[:, instr.marker] = -1
+            tables.node_table.fill(instr.marker, 0.0)
         return work
 
     def func_marker(self, cid: int, instr: FuncMarker) -> WorkReport:
@@ -818,13 +814,13 @@ class MachineState:
             return out, work
         for lid in tables.status.nodes_with(instr.marker):
             gid = tables.to_global[lid]
-            entries, scanned = tables.relations.links_of(lid)
-            work.slots += scanned
-            for entry in entries:
-                if entry.relation == rid:
-                    out.append(
-                        (gid, instr.relation, entry.dest_global, entry.weight)
-                    )
+            links = iter(tables.relations.links_of(lid))
+            work.slots += next(links)
+            for relation, _c, _l, dest_gid, weight in zip(
+                links, links, links, links, links
+            ):
+                if relation == rid:
+                    out.append((gid, instr.relation, dest_gid, weight))
             work.nodes += 1
         return out, work
 
@@ -863,9 +859,3 @@ class MachineState:
         """Whether a marker is set at one node."""
         cid, lid = self.address(node_ref)
         return self.clusters[cid].status.test(marker, lid)
-
-    def status_snapshot(self) -> Dict[int, "object"]:
-        """Per-cluster status-table snapshots (equivalence testing)."""
-        return {
-            t.cluster_id: t.status.snapshot() for t in self.clusters
-        }

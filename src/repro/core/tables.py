@@ -19,8 +19,9 @@ MU work) are exposed for the timing model.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -67,10 +68,12 @@ class MarkerStatusTable:
     def set(self, marker: int, local: int) -> bool:
         """Set marker bit; returns True if it was previously clear."""
         word, bit = divmod(local, WORD_BITS)
-        mask = np.uint32(1 << bit)
-        was_clear = not (self._bits[marker, word] & mask)
-        self._bits[marker, word] |= mask
-        return was_clear
+        old = int(self._bits[marker, word])
+        mask = 1 << bit
+        if old & mask:
+            return False
+        self._bits[marker, word] = old | mask
+        return True
 
     def clear(self, marker: int, local: int) -> None:
         """Discard all stored records."""
@@ -133,14 +136,13 @@ class MarkerStatusTable:
     def nodes_with(self, marker: int) -> List[int]:
         """Local ids of nodes where the marker is set, ascending."""
         out: List[int] = []
-        row = self._bits[marker]
-        for word_index in range(self.num_words):
-            word = int(row[word_index])
-            base = word_index * WORD_BITS
+        base = 0
+        for word in self._bits[marker].tolist():
             while word:
                 low = word & -word
                 out.append(base + low.bit_length() - 1)
                 word ^= low
+            base += WORD_BITS
         return out
 
     # -- bulk operations (vectorized propagation backend) ---------------
@@ -190,46 +192,71 @@ class MarkerStatusTable:
 
 
 class NodeTable:
-    """Permanent node properties + complex-marker registers (Fig. 4)."""
+    """Permanent node properties + complex-marker registers (Fig. 4).
+
+    The registers are marker-major — ``value``/``origin`` have shape
+    ``(NUM_COMPLEX_MARKERS, n)`` — and every write goes through a
+    method that records the marker as dirty, so
+    :meth:`reset_registers` rewrites only the rows a query touched.
+    """
 
     def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
         self.color = np.zeros(num_nodes, dtype=np.uint8)
         self.function = np.zeros(num_nodes, dtype=np.uint8)
-        #: 32-bit float value per (node, complex marker).
-        self.value = np.zeros((num_nodes, NUM_COMPLEX_MARKERS), dtype=np.float32)
-        #: 15-bit origin address (global node id) per (node, complex marker).
-        self.origin = np.full((num_nodes, NUM_COMPLEX_MARKERS), -1, dtype=np.int32)
+        #: 32-bit float value per (complex marker, node).
+        self.value = np.zeros((NUM_COMPLEX_MARKERS, num_nodes), dtype=np.float32)
+        #: 15-bit origin address (global node id) per (complex marker, node).
+        self.origin = np.full((NUM_COMPLEX_MARKERS, num_nodes), -1, dtype=np.int32)
+        #: Complex markers written since the last :meth:`reset_registers`.
+        self._dirty: Set[int] = set()
 
     def set_value(self, local: int, marker: int, value: float,
                   origin: int = -1) -> None:
         """Store a complex marker's value/origin (no-op for binary)."""
         if is_complex(marker):
-            self.value[local, marker] = value
-            self.origin[local, marker] = origin
+            self._dirty.add(marker)
+            self.value[marker, local] = value
+            self.origin[marker, local] = origin
+
+    def set_values(self, marker: int, locals_: np.ndarray,
+                   values: np.ndarray, origins: np.ndarray) -> None:
+        """Scatter a complex marker's value/origin over many nodes."""
+        self._dirty.add(marker)
+        self.value[marker, locals_] = values
+        self.origin[marker, locals_] = origins
+
+    def fill(self, marker: int, value: float) -> None:
+        """Set a complex marker's value at every node, origin cleared
+        (SET-MARKER and CLEAR-MARKER)."""
+        self._dirty.add(marker)
+        self.value[marker] = value
+        self.origin[marker] = -1
 
     def get_value(self, local: int, marker: int) -> float:
         """Complex-marker value at a local node (0.0 for binary)."""
         if is_complex(marker):
-            return float(self.value[local, marker])
+            return float(self.value[marker, local])
         return 0.0
 
     def get_origin(self, local: int, marker: int) -> int:
         """Complex-marker origin at a local node (-1 for binary)."""
         if is_complex(marker):
-            return int(self.origin[local, marker])
+            return int(self.origin[marker, local])
         return -1
 
     def clear_value(self, local: int, marker: int) -> None:
         """Reset a complex marker's value/origin at a node."""
         if is_complex(marker):
-            self.value[local, marker] = 0.0
-            self.origin[local, marker] = -1
+            self.value[marker, local] = 0.0
+            self.origin[marker, local] = -1
 
     def reset_registers(self) -> None:
         """Reset every complex-marker value/origin register."""
-        self.value[:, :] = 0.0
-        self.origin[:, :] = -1
+        for marker in self._dirty:
+            self.value[marker] = 0.0
+            self.origin[marker] = -1
+        self._dirty.clear()
 
     def grow(self, count: int = 1) -> None:
         """Extend capacity for ``count`` more nodes (runtime CREATE)."""
@@ -242,16 +269,17 @@ class NodeTable:
         )
         self.value = np.concatenate(
             [self.value,
-             np.zeros((count, NUM_COMPLEX_MARKERS), dtype=np.float32)]
+             np.zeros((NUM_COMPLEX_MARKERS, count), dtype=np.float32)],
+            axis=1,
         )
         self.origin = np.concatenate(
             [self.origin,
-             np.full((count, NUM_COMPLEX_MARKERS), -1, dtype=np.int32)]
+             np.full((NUM_COMPLEX_MARKERS, count), -1, dtype=np.int32)],
+            axis=1,
         )
 
 
-@dataclass(frozen=True)
-class RelationEntry:
+class RelationEntry(NamedTuple):
     """One decoded relation-table slot."""
 
     relation: int
@@ -259,6 +287,13 @@ class RelationEntry:
     dest_local: int
     dest_global: int
     weight: float
+
+
+#: A node's logical links as :meth:`RelationTable.links_of` caches
+#: them: the number of slots the continuation walk scans (the MU timing
+#: unit), then ``relation, dest_cluster, dest_local, dest_global,
+#: weight`` for each link, flattened into one tuple.
+LinkRow = Tuple[Any, ...]
 
 
 class RelationTable:
@@ -272,11 +307,25 @@ class RelationTable:
     Runtime MARKER-CREATE bindings may exceed the 16 static slots; they
     spill into a dynamic overflow area (the hardware allocated result
     nodes from a reserved pool — see DESIGN.md).
+
+    Readers see a node's links through :meth:`links_of`, which decodes
+    the node's row (continuation chain included) once and caches it.
+    :meth:`add` and :meth:`remove` drop the cached row of the physical
+    row they change and of every node whose chain runs through it.
     """
 
-    def __init__(self, num_nodes: int, cont_relation_id: Optional[int]) -> None:
+    def __init__(
+        self,
+        num_nodes: int,
+        cont_relation_id: Optional[int],
+        node_ids: Optional[List[int]] = None,
+    ) -> None:
+        """``node_ids``: one int object per node id (``node_ids[i] ==
+        i``), shared by every table of a machine, so cached rows hold
+        pointers instead of a fresh int per link; grown on demand."""
         self.num_nodes = num_nodes
         self.cont_relation_id = cont_relation_id
+        self._ids: List[int] = node_ids if node_ids is not None else []
         shape = (num_nodes, MAX_FANOUT)
         self.relation = np.full(shape, EMPTY_SLOT, dtype=np.int32)
         self.dest_cluster = np.zeros(shape, dtype=np.int32)
@@ -285,6 +334,13 @@ class RelationTable:
         self.weight = np.zeros(shape, dtype=np.float32)
         self._fill = np.zeros(num_nodes, dtype=np.int32)
         self._overflow: Dict[int, List[RelationEntry]] = {}
+        #: Cached :data:`LinkRow` per local id (None: not decoded yet).
+        self._rows: List[Optional[LinkRow]] = [None] * num_nodes
+        #: Continuation subnode -> nodes whose cached row walks it.
+        self._via: Dict[int, Set[int]] = {}
+        #: One float object per distinct weight (keyed by its bits),
+        #: shared by every cached row.
+        self._weights: Dict[bytes, float] = {}
 
     def grow(self, count: int = 1) -> None:
         """Extend capacity for ``count`` more nodes (runtime CREATE)."""
@@ -308,9 +364,17 @@ class RelationTable:
         self._fill = np.concatenate(
             [self._fill, np.zeros(count, dtype=np.int32)]
         )
+        self._rows.extend([None] * count)
+
+    def _invalidate(self, local: int) -> None:
+        """Drop the cached rows that include physical row ``local``."""
+        self._rows[local] = None
+        for head in self._via.pop(local, ()):
+            self._rows[head] = None
 
     def add(self, local: int, entry: RelationEntry) -> None:
         """Install a link in the next free slot (or overflow)."""
+        self._invalidate(local)
         slot = int(self._fill[local])
         if slot >= MAX_FANOUT:
             self._overflow.setdefault(local, []).append(entry)
@@ -323,27 +387,25 @@ class RelationTable:
         self._fill[local] = slot + 1
 
     def remove(self, local: int, relation: int, dest_global: int) -> bool:
-        """Remove the first matching slot; compact remaining slots."""
-        fill = int(self._fill[local])
-        for slot in range(fill):
-            if (
-                self.relation[local, slot] == relation
-                and self.dest_global[local, slot] == dest_global
-            ):
-                # Shift remaining slots down.
-                for s in range(slot, fill - 1):
-                    self.relation[local, s] = self.relation[local, s + 1]
-                    self.dest_cluster[local, s] = self.dest_cluster[local, s + 1]
-                    self.dest_local[local, s] = self.dest_local[local, s + 1]
-                    self.dest_global[local, s] = self.dest_global[local, s + 1]
-                    self.weight[local, s] = self.weight[local, s + 1]
-                self.relation[local, fill - 1] = EMPTY_SLOT
-                self._fill[local] = fill - 1
-                return True
-        overflow = self._overflow.get(local, [])
-        for i, entry in enumerate(overflow):
-            if entry.relation == relation and entry.dest_global == dest_global:
-                del overflow[i]
+        """Remove a node's first matching link, walking its continuation
+        chain; the physical row it sat in is compacted."""
+        for current, slots in self._walk(local):
+            for slot, entry in enumerate(slots):
+                if entry[0] != relation or entry[3] != dest_global:
+                    continue
+                self._invalidate(current)
+                fill = int(self._fill[current])
+                if slot >= fill:
+                    del self._overflow[current][slot - fill]
+                    return True
+                for column in (self.relation, self.dest_cluster,
+                               self.dest_local, self.dest_global,
+                               self.weight):
+                    column[current, slot:fill - 1] = (
+                        column[current, slot + 1:fill]
+                    )
+                self.relation[current, fill - 1] = EMPTY_SLOT
+                self._fill[current] = fill - 1
                 return True
         return False
 
@@ -356,55 +418,62 @@ class RelationTable:
         """Whether any node spilled past the 16 static slots."""
         return bool(self._overflow)
 
-    def fill_counts(self) -> np.ndarray:
-        """Occupied static-slot count per node (read-only view)."""
-        view = self._fill[: self.num_nodes]
-        return view
-
-    def entries(self, local: int) -> List[RelationEntry]:
-        """Direct slots of one node (no continuation walking)."""
-        out = []
-        for slot in range(int(self._fill[local])):
-            out.append(
-                RelationEntry(
-                    int(self.relation[local, slot]),
-                    int(self.dest_cluster[local, slot]),
-                    int(self.dest_local[local, slot]),
-                    int(self.dest_global[local, slot]),
-                    float(self.weight[local, slot]),
-                )
-            )
-        out.extend(self._overflow.get(local, ()))
-        return out
-
-    def links_of(self, local: int) -> Tuple[List[RelationEntry], int]:
-        """Logical links of a node, walking continuation chains locally.
-
-        Returns (entries, slots_scanned); scanned slot count feeds the
-        MU timing model.  Continuation subnodes always live on the same
-        cluster as their parent, so the walk never leaves the table.
-        """
-        entries: List[RelationEntry] = []
-        scanned = 0
-        current = local
-        seen = set()
-        while True:
+    def _walk(self, local: int) -> Iterator[Tuple[int, List[tuple]]]:
+        """``(local id, slots)`` of each physical row of a node's logical
+        row, following continuation slots.  Continuation subnodes always
+        live on their parent's cluster, so the walk never leaves the
+        table."""
+        seen: Set[int] = set()
+        current: Optional[int] = local
+        while current is not None:
             if current in seen:
                 raise TableError(f"continuation cycle at local node {current}")
             seen.add(current)
-            nxt = None
-            for entry in self.entries(current):
-                scanned += 1
-                if (
-                    self.cont_relation_id is not None
-                    and entry.relation == self.cont_relation_id
-                ):
-                    nxt = entry.dest_local
-                else:
-                    entries.append(entry)
-            if nxt is None:
-                return entries, scanned
-            current = nxt
+            fill = int(self._fill[current])
+            slots: List[tuple] = list(zip(
+                self.relation[current, :fill].tolist(),
+                self.dest_cluster[current, :fill].tolist(),
+                self.dest_local[current, :fill].tolist(),
+                self.dest_global[current, :fill].tolist(),
+                self.weight[current, :fill].tolist(),
+            ))
+            slots.extend(self._overflow.get(current, ()))
+            yield current, slots
+            current = None
+            for entry in slots:
+                if entry[0] == self.cont_relation_id:
+                    current = entry[2]
+
+    def links_of(self, local: int) -> LinkRow:
+        """Logical links of a node as its cached :data:`LinkRow`."""
+        row = self._rows[local]
+        if row is None:
+            row = self._rows[local] = self._decode(local)
+        return row
+
+    def _decode(self, local: int) -> LinkRow:
+        ids = self._ids
+        weights = self._weights
+        flat: List[Any] = [0]
+        for current, slots in self._walk(local):
+            if current != local:
+                self._via.setdefault(current, set()).add(local)
+            flat[0] += len(slots)
+            for relation, cluster, dest, gid, weight in slots:
+                if relation == self.cont_relation_id:
+                    continue
+                top = max(dest, gid)
+                if top >= len(ids):
+                    ids.extend(range(len(ids), top + 1))
+                weight = weights.setdefault(struct.pack("<d", weight), weight)
+                flat += (relation, cluster, ids[dest], ids[gid], weight)
+        return tuple(flat)
+
+    def entries(self, local: int) -> List[RelationEntry]:
+        """Logical links of a node as :class:`RelationEntry` tuples."""
+        links = iter(self.links_of(local))
+        next(links)  # slots scanned
+        return list(map(RelationEntry, links, links, links, links, links))
 
 
 @dataclass
@@ -424,10 +493,6 @@ class ClusterTables:
     def num_nodes(self) -> int:
         """Number of nodes."""
         return self.node_table.num_nodes
-
-    def is_local(self, global_id: int) -> bool:
-        """Whether a global node id lives on this cluster."""
-        return global_id in self.to_local
 
     def add_node(self, global_id: int, color: int, function: int = 0) -> int:
         """Install a new node at runtime; returns its local id."""
@@ -470,9 +535,12 @@ def build_tables(
         if node.parent_id is not None:
             cluster_of[node.node_id] = cluster_of[node.parent_id]
 
+    # One int object per node id: the id maps and every cached link
+    # row share them.
+    node_ids = list(range(network.num_nodes))
     members: List[List[int]] = [[] for _ in range(partitioning.num_clusters)]
-    for nid, cluster in enumerate(cluster_of):
-        members[cluster].append(nid)
+    for nid in node_ids:
+        members[cluster_of[nid]].append(nid)
 
     # Build per-cluster id maps.
     tables: List[ClusterTables] = []
@@ -486,7 +554,7 @@ def build_tables(
                 cluster_id=cid,
                 node_table=NodeTable(len(nodes)),
                 status=MarkerStatusTable(len(nodes)),
-                relations=RelationTable(len(nodes), cont_id),
+                relations=RelationTable(len(nodes), cont_id, node_ids),
                 to_global=list(nodes),
                 to_local=to_local,
             )

@@ -107,12 +107,6 @@ class _QueryState:
     def absolute_deadline_us(self) -> Optional[float]:
         return self.deadline_abs
 
-    def remaining_us(self, now: float) -> Optional[float]:
-        """Deadline budget left at ``now`` (None = unbounded)."""
-        if self.deadline_abs is None:
-            return None
-        return self.deadline_abs - now
-
 
 class ServingHost:
     """A one-shot serving run over a stream of queries."""

@@ -31,8 +31,8 @@ Custom rules supply an explicit transition table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence, Tuple
 
 
 class RuleError(ValueError):
@@ -165,11 +165,3 @@ def parse_rule(text: str) -> PropagationRule:
         raise RuleError(
             f"rule {rule_type!r} given {len(args)} relations"
         ) from None
-
-
-def max_path_states(rule: PropagationRule) -> int:
-    """Upper bound on distinct states a marker can pass through.
-
-    Used by the engine to size visited-set bookkeeping.
-    """
-    return rule.num_states

@@ -322,7 +322,7 @@ class Timeout:
         return not self._cancelled and not self.expired
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A unit of work submitted to a server: service time + completion.
 

@@ -345,10 +345,6 @@ class RegionSchedule:
         """Distinct region ids the schedule touches, ascending."""
         return tuple(sorted({e.region for e in self.events}))
 
-    def for_region(self, region: int) -> Tuple[RegionEvent, ...]:
-        """The events of one region, in delivery order."""
-        return tuple(e for e in self.events if e.region == region)
-
     def fault_windows(self) -> Tuple[FaultWindow, ...]:
         """Ground-truth injected-fault intervals, start-time ordered.
 

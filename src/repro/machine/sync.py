@@ -18,7 +18,7 @@ each barrier, which is the data series of Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class SyncError(RuntimeError):
@@ -32,6 +32,9 @@ class TieredSynchronizer:
         self.num_pes = num_pes
         #: counters[level][pe] = creations - terminations reported.
         self._counters: Dict[int, List[int]] = {}
+        #: totals[level] = sum(counters[level]), kept as counts arrive
+        #: so neither a consume nor the barrier test sums over PEs.
+        self._totals: Dict[int, int] = {}
         self._idle: List[bool] = [True] * num_pes
         self.max_level_seen = -1
 
@@ -42,24 +45,33 @@ class TieredSynchronizer:
                 f"pe {pe} out of range [0, {self.num_pes}) at level {level}"
             )
 
+    def _level(self, level: int) -> List[int]:
+        counters = self._counters.get(level)
+        if counters is None:
+            counters = self._counters[level] = [0] * self.num_pes
+            self._totals[level] = 0
+        return counters
+
     def produce(self, pe: int, level: int, count: int = 1) -> None:
         """PE reports ``count`` process creations at a level."""
         self._check_pe(pe, level)
-        counters = self._counters.setdefault(level, [0] * self.num_pes)
-        counters[pe] += count
-        self.max_level_seen = max(self.max_level_seen, level)
+        self._level(level)[pe] += count
+        self._totals[level] += count
+        if level > self.max_level_seen:
+            self.max_level_seen = level
 
     def consume(self, pe: int, level: int, count: int = 1) -> None:
         """PE reports ``count`` process terminations at a level."""
         self._check_pe(pe, level)
-        counters = self._counters.setdefault(level, [0] * self.num_pes)
+        counters = self._level(level)
         # Validate before mutating: a rejected over-consumption must
         # not leave the level balance negative.
-        if sum(counters) - count < 0:
+        if self._totals[level] < count:
             raise SyncError(
                 f"pe {pe}, level {level}: more terminations than creations"
             )
         counters[pe] -= count
+        self._totals[level] -= count
 
     def set_idle(self, pe: int, idle: bool) -> None:
         """Drive one input of the AND-tree (GP I/O idle line)."""
@@ -73,7 +85,7 @@ class TieredSynchronizer:
 
     def level_balance(self, level: int) -> int:
         """Global sum of a level's counters (0 = no markers in transit)."""
-        return sum(self._counters.get(level, ()))
+        return self._totals.get(level, 0)
 
     def level_complete(self, level: int) -> bool:
         """Barrier condition for one level: idle AND balanced."""
@@ -81,23 +93,20 @@ class TieredSynchronizer:
 
     def all_complete(self) -> bool:
         """Every level balanced and all PEs idle."""
-        return self.sigi and all(
-            sum(counters) == 0 for counters in self._counters.values()
-        )
+        return self.sigi and not any(self._totals.values())
 
     def active_levels(self) -> List[int]:
         """Levels with markers still in transit."""
         return sorted(
-            level
-            for level, counters in self._counters.items()
-            if sum(counters) != 0
+            level for level, total in self._totals.items() if total != 0
         )
 
     def reset_level(self, level: int) -> None:
         """Retire a completed level's counters."""
-        if level in self._counters and sum(self._counters[level]) != 0:
+        if self._totals.get(level, 0) != 0:
             raise SyncError(f"reset of unbalanced level {level}")
         self._counters.pop(level, None)
+        self._totals.pop(level, None)
 
 
 def barrier_cost(num_pes: int, t_sync_base: float, t_sync_per_pe: float) -> float:

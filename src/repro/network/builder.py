@@ -15,9 +15,9 @@ semantics always see the *logical* fanout.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
-from .graph import SemanticNetwork
+from .graph import GraphError, SemanticNetwork
 from .node import MAX_FANOUT, Color, Link
 
 #: Reserved relation used to chain subnodes; never visible to programs.
@@ -91,21 +91,33 @@ def preprocess_fanout(
     return physical
 
 
+def continuation_chain(physical: SemanticNetwork, node_ref) -> List[int]:
+    """A node's physical rows: its own id, then each continuation
+    subnode's, in chain order."""
+    cont_id = physical.relations.get(CONT_RELATION)
+    chain = [physical.resolve(node_ref)]
+    while cont_id is not None:
+        nxt = None
+        for link in physical.outgoing(chain[-1]):
+            if link.relation == cont_id:
+                nxt = link.dest
+        if nxt is None:
+            break
+        if nxt in chain:
+            raise GraphError(f"continuation cycle at node {nxt}")
+        chain.append(nxt)
+    return chain
+
+
 def logical_fanout(physical: SemanticNetwork, node_ref) -> int:
     """Fanout of a node counting through its continuation chain."""
     cont_id = physical.relations.get(CONT_RELATION)
-    nid = physical.resolve(node_ref)
-    count = 0
-    while True:
-        nxt = None
-        for link in physical.outgoing(nid):
-            if cont_id is not None and link.relation == cont_id:
-                nxt = link.dest
-            else:
-                count += 1
-        if nxt is None:
-            return count
-        nid = nxt
+    return sum(
+        1
+        for nid in continuation_chain(physical, node_ref)
+        for link in physical.outgoing(nid)
+        if link.relation != cont_id
+    )
 
 
 class KnowledgeBaseBuilder:

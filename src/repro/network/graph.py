@@ -148,6 +148,11 @@ class SemanticNetwork:
         """Return the :class:`Node` for a reference."""
         return self._nodes[self.resolve(ref)]
 
+    def name_of(self, nid: int) -> str:
+        """Name of a node by id, without resolving a reference (hot
+        retrieval path; ``nid`` must be a valid id)."""
+        return self._nodes[nid].name
+
     def __contains__(self, ref: NodeRef) -> bool:
         if isinstance(ref, Node):
             ref = ref.node_id

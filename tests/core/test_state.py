@@ -138,7 +138,7 @@ class TestMaintenance:
         assert net.outgoing_by_relation("new-a", "is-a")
         # Tables grew consistently.
         cid, lid = engine.state.address("new-a")
-        entries, _ = engine.state.clusters[cid].relations.links_of(lid)
+        entries = engine.state.clusters[cid].relations.entries(lid)
         assert entries[0].dest_global == net.resolve("new-b")
 
     def test_delete_removes_link(self, engine):

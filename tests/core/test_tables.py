@@ -210,9 +210,9 @@ class TestRelationTable:
         table.add(0, self.entry(rel=1, dg=10))
         table.add(0, RelationEntry(cont, 0, 1, 1, 0.0))  # continue at local 1
         table.add(1, self.entry(rel=2, dg=20))
-        entries, scanned = table.links_of(0)
+        entries = table.entries(0)
         assert [e.relation for e in entries] == [1, 2]
-        assert scanned == 3
+        assert table.links_of(0)[0] == 3  # slots scanned
 
     def test_continuation_cycle_detected(self):
         cont = 99
@@ -286,7 +286,7 @@ class TestBuildTables:
             gid = net.resolve("n3")
             if gid in cluster.to_local:
                 cid, lid = cluster.cluster_id, cluster.to_local[gid]
-        entries, _scanned = tables[cid].relations.links_of(lid)
+        entries = tables[cid].relations.entries(lid)
         assert len(entries) == 40
 
     def test_capacity_enforced(self):

@@ -12,6 +12,8 @@ from repro.network import (
     logical_fanout,
     preprocess_fanout,
 )
+from repro.network.builder import continuation_chain
+from repro.network.graph import GraphError
 
 
 def make_hub(fanout: int) -> SemanticNetwork:
@@ -54,6 +56,20 @@ class TestFanoutPreprocessor:
         net = make_hub(53)
         physical = preprocess_fanout(net)
         assert logical_fanout(physical, "hub") == 53
+
+    def test_continuation_chain_lists_rows_in_order(self):
+        physical = preprocess_fanout(make_hub(40))
+        chain = continuation_chain(physical, "hub")
+        assert [physical.node(n).name for n in chain] == [
+            "hub", "hub#1", "hub#2",
+        ]
+
+    def test_continuation_cycle_rejected(self):
+        net = make_hub(2)
+        net.add_link("hub", CONT_RELATION, "d0")
+        net.add_link("d0", CONT_RELATION, "hub")
+        with pytest.raises(GraphError, match="continuation cycle"):
+            continuation_chain(net, "hub")
 
     def test_link_destinations_preserved(self):
         net = make_hub(40)
