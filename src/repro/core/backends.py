@@ -98,19 +98,15 @@ class PythonBackend(PropagationBackend):
             # Seeds are expanded directly: the origin node re-emits the
             # marker without receiving it.
             for seed in seeds:
-                local_out, remote_out, expand_work = state.expand(ctx, seed)
-                work.merge(expand_work)
+                local_out, remote_out = state.expand(ctx, seed, work)
                 queue.extend(local_out)
                 queue.extend(state.message_to_arrival(m) for m in remote_out)
 
         while queue:
             arrival = queue.popleft()
-            should_expand, deliver_work = state.deliver(ctx, arrival)
-            work.merge(deliver_work)
-            if not should_expand:
+            if not state.deliver(ctx, arrival, work):
                 continue
-            local_out, remote_out, expand_work = state.expand(ctx, arrival)
-            work.merge(expand_work)
+            local_out, remote_out = state.expand(ctx, arrival, work)
             queue.extend(local_out)
             queue.extend(state.message_to_arrival(m) for m in remote_out)
 

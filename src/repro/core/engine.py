@@ -104,39 +104,38 @@ class RunResult:
 
 
 # Instruction class -> (dispatch kind, unbound MachineState primitive).
-# Built once at import; execute() does a single dict probe per
-# instruction instead of rebuilding these tables and isinstance-scanning
-# them on every call (the old hot-path behavior).
-_KIND_PROPAGATE = "propagate"
-_KIND_GLOBAL = "global"
-_KIND_CLUSTER = "cluster"
-_KIND_COLLECT = "collect"
+# Built once at import and shared by every executor: execute() here and
+# the timed machine's PU decode each do one dict probe per instruction.
+KIND_PROPAGATE = "propagate"
+KIND_GLOBAL = "global"
+KIND_CLUSTER = "cluster"
+KIND_COLLECT = "collect"
 
 _DISPATCH: Dict[type, Tuple[str, Optional[Callable]]] = {
-    Propagate: (_KIND_PROPAGATE, None),
-    Create: (_KIND_GLOBAL, MachineState.create),
-    Delete: (_KIND_GLOBAL, MachineState.delete),
-    SetColor: (_KIND_GLOBAL, MachineState.set_color),
-    SearchNode: (_KIND_CLUSTER, MachineState.search_node),
-    SearchRelation: (_KIND_CLUSTER, MachineState.search_relation),
-    SearchColor: (_KIND_CLUSTER, MachineState.search_color),
-    AndMarker: (_KIND_CLUSTER, MachineState.and_marker),
-    OrMarker: (_KIND_CLUSTER, MachineState.or_marker),
-    NotMarker: (_KIND_CLUSTER, MachineState.not_marker),
-    SetMarker: (_KIND_CLUSTER, MachineState.set_marker),
-    ClearMarker: (_KIND_CLUSTER, MachineState.clear_marker),
-    FuncMarker: (_KIND_CLUSTER, MachineState.func_marker),
-    MarkerCreate: (_KIND_CLUSTER, MachineState.marker_create),
-    MarkerDelete: (_KIND_CLUSTER, MachineState.marker_delete),
-    MarkerSetColor: (_KIND_CLUSTER, MachineState.marker_set_color),
-    CollectNode: (_KIND_COLLECT, MachineState.collect_node),
-    CollectMarker: (_KIND_COLLECT, MachineState.collect_marker),
-    CollectRelation: (_KIND_COLLECT, MachineState.collect_relation),
-    CollectColor: (_KIND_COLLECT, MachineState.collect_color),
+    Propagate: (KIND_PROPAGATE, None),
+    Create: (KIND_GLOBAL, MachineState.create),
+    Delete: (KIND_GLOBAL, MachineState.delete),
+    SetColor: (KIND_GLOBAL, MachineState.set_color),
+    SearchNode: (KIND_CLUSTER, MachineState.search_node),
+    SearchRelation: (KIND_CLUSTER, MachineState.search_relation),
+    SearchColor: (KIND_CLUSTER, MachineState.search_color),
+    AndMarker: (KIND_CLUSTER, MachineState.and_marker),
+    OrMarker: (KIND_CLUSTER, MachineState.or_marker),
+    NotMarker: (KIND_CLUSTER, MachineState.not_marker),
+    SetMarker: (KIND_CLUSTER, MachineState.set_marker),
+    ClearMarker: (KIND_CLUSTER, MachineState.clear_marker),
+    FuncMarker: (KIND_CLUSTER, MachineState.func_marker),
+    MarkerCreate: (KIND_CLUSTER, MachineState.marker_create),
+    MarkerDelete: (KIND_CLUSTER, MachineState.marker_delete),
+    MarkerSetColor: (KIND_CLUSTER, MachineState.marker_set_color),
+    CollectNode: (KIND_COLLECT, MachineState.collect_node),
+    CollectMarker: (KIND_COLLECT, MachineState.collect_marker),
+    CollectRelation: (KIND_COLLECT, MachineState.collect_relation),
+    CollectColor: (KIND_COLLECT, MachineState.collect_color),
 }
 
 
-def _dispatch_entry(cls: type) -> Optional[Tuple[str, Optional[Callable]]]:
+def dispatch_entry(cls: type) -> Optional[Tuple[str, Optional[Callable]]]:
     """Dispatch entry for an instruction class, honoring subclasses."""
     entry = _DISPATCH.get(cls)
     if entry is None:
@@ -184,7 +183,7 @@ class FunctionalEngine:
 
     def execute(self, instruction: Instruction) -> ExecutionRecord:
         """Execute one instruction with exact semantics."""
-        entry = _dispatch_entry(type(instruction))
+        entry = dispatch_entry(type(instruction))
         if entry is None:
             raise ExecutionError(
                 f"unsupported instruction: {instruction.opcode}"
@@ -192,13 +191,13 @@ class FunctionalEngine:
         kind, primitive = entry
         state = self.state
 
-        if kind == _KIND_CLUSTER:
+        if kind == KIND_CLUSTER:
             work = WorkReport()
             for cid in range(state.num_clusters):
                 work.merge(primitive(state, cid, instruction))
             return ExecutionRecord(instruction, work)
 
-        if kind == _KIND_COLLECT:
+        if kind == KIND_COLLECT:
             work = WorkReport()
             collected: List = []
             for cid in range(state.num_clusters):
@@ -212,7 +211,7 @@ class FunctionalEngine:
             collected.sort()
             return ExecutionRecord(instruction, work, result=collected)
 
-        if kind == _KIND_PROPAGATE:
+        if kind == KIND_PROPAGATE:
             return self._propagate(instruction)
 
         return ExecutionRecord(instruction, primitive(state, instruction))

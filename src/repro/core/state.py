@@ -15,6 +15,11 @@ Because both executors run the *same* primitive code, final marker
 state is identical regardless of cluster count or event ordering — a
 property the test suite checks explicitly.
 
+Cluster sweeps are word-parallel, as the paper's MUs process a status
+word's nodes at once: each one unpacks whole status rows into node ids
+and gathers or scatters register rows with numpy, instead of visiting
+one node at a time.
+
 Propagation value semantics: when a complex marker reaches a node more
 than once, the *minimum* value is kept, and the node is re-expanded
 only when a strictly smaller value arrives.  This makes the final
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..isa.functions import FunctionRegistry, HopFunction, always_alive, condition
 from ..isa.instructions import (
@@ -62,6 +69,7 @@ from .tables import (
     MACHINE_NODE_CAPACITY,
     ClusterTables,
     RelationEntry,
+    bits_at,
     build_tables,
 )
 
@@ -426,7 +434,10 @@ class MachineState:
         work = WorkReport()
         if rid is None:
             return work
+        color = tables.node_table.color
         for lid in range(tables.num_nodes):
+            if color[lid] == Color.SUBNODE:
+                continue  # its links belong to its parent's logical row
             row = tables.relations.links_of(lid)
             work.slots += row[0]
             if rid in row[1::5]:  # each link's relation field
@@ -441,15 +452,17 @@ class MachineState:
     def search_color(self, cid: int, instr: SearchColor) -> WorkReport:
         """Mark every local node of the given color."""
         tables = self.clusters[cid]
-        work = WorkReport(nodes=tables.num_nodes)
-        for lid in range(tables.num_nodes):
-            if tables.node_table.color[lid] == instr.color:
-                tables.status.set(instr.marker, lid)
-                gid = tables.to_global[lid]
-                tables.node_table.set_value(lid, instr.marker, instr.value, gid)
-                work.sets += 1
-                work.fp_ops += 1
-        return work
+        lids = np.flatnonzero(tables.node_table.color == instr.color)
+        if lids.size:
+            tables.status.set_many(instr.marker, lids)
+            if is_complex(instr.marker):
+                to_global = tables.to_global
+                tables.node_table.set_values(
+                    instr.marker, lids, instr.value,
+                    [to_global[lid] for lid in lids.tolist()],
+                )
+        return WorkReport(nodes=tables.num_nodes, sets=lids.size,
+                          fp_ops=lids.size)
 
     # ------------------------------------------------------------------
     # Propagation
@@ -475,47 +488,38 @@ class MachineState:
         expands.
         """
         tables = self.clusters[cid]
-        instr = ctx.instr
-        work = WorkReport(words=tables.status.num_words)
-        out: List[Arrival] = []
-        for lid in tables.status.nodes_with(instr.marker1):
-            gid = tables.to_global[lid]
-            value = tables.node_table.get_value(lid, instr.marker1)
-            out.append(
-                Arrival(
-                    cluster=cid,
-                    local=lid,
-                    state=ctx.rule.initial_state,
-                    value=value,
-                    origin=gid,
-                    level=ctx.level,
-                    hops=0,
-                )
-            )
-            work.nodes += 1
+        marker = ctx.instr.marker1
+        lids = tables.status.nodes_with_array(marker)
+        values = tables.node_table.gather(marker, lids)[0]
+        to_global = tables.to_global
+        initial, level = ctx.rule.initial_state, ctx.level
+        out = [
+            Arrival(cid, lid, initial, value, to_global[lid], level, 0)
+            for lid, value in zip(lids.tolist(), values.tolist())
+        ]
         ctx.alpha += len(out)
-        return out, work
+        return out, WorkReport(words=tables.status.num_words, nodes=len(out))
 
     def expand(
-        self, ctx: PropagationContext, arrival: Arrival
-    ) -> Tuple[List[Arrival], List[ActivationMessage], WorkReport]:
+        self, ctx: PropagationContext, arrival: Arrival, work: WorkReport
+    ) -> Tuple[List[Arrival], List[ActivationMessage]]:
         """Expand propagation from a node: scan links, emit deliveries.
 
         Local destinations come back as :class:`Arrival`; destinations
         on other clusters come back as :class:`ActivationMessage` for
-        the CU/ICN to transport.
+        the CU/ICN to transport.  The work is added into ``work``, the
+        record of the MU task doing the expansion.
         """
-        work = WorkReport()
         key = (arrival.cluster, arrival.local, arrival.state)
         count = ctx.expansions.get(key, 0)
         if count >= ctx.max_expansions:
-            return [], [], work
+            return [], []
         ctx.expansions[key] = count + 1
         ctx.expanded[key] = arrival.value
 
         moves = ctx.compiled.get(arrival.state, ())
         if not moves:
-            return [], [], work
+            return [], []
 
         hop = ctx.hop
         alive = None if hop.alive is always_alive else hop.alive
@@ -525,7 +529,7 @@ class MachineState:
         level = arrival.level
         hops = arrival.hops + 1
         links = iter(self.clusters[cluster].relations.links_of(arrival.local))
-        work.slots = next(links)
+        work.slots += next(links)
 
         local_out: List[Arrival] = []
         remote_out: List[ActivationMessage] = []
@@ -552,21 +556,23 @@ class MachineState:
                         next_state, dest_cluster, dest_local, origin,
                         level, hops,
                     ))
-        return local_out, remote_out, work
+        return local_out, remote_out
 
     def deliver(
-        self, ctx: PropagationContext, arrival: Arrival
-    ) -> Tuple[bool, WorkReport]:
+        self, ctx: PropagationContext, arrival: Arrival, work: WorkReport
+    ) -> bool:
         """Set marker-2 at the destination; decide whether to re-expand.
 
-        Returns (should_expand, work).  Expansion happens on first
-        arrival at a (node, rule-state), or when a strictly smaller
-        complex-marker value arrives (min-cost fixpoint semantics).
+        Returns whether to expand, adding the work into ``work``.
+        Expansion happens on first arrival at a (node, rule-state), or
+        when a strictly smaller complex-marker value arrives (min-cost
+        fixpoint semantics).
         """
         marker = ctx.instr.marker2
         local = arrival.local
         tables = self.clusters[arrival.cluster]
-        work = WorkReport(nodes=1, sets=1)
+        work.nodes += 1
+        work.sets += 1
         ctx.total_arrivals += 1
         if arrival.hops > ctx.max_hops:
             ctx.max_hops = arrival.hops
@@ -582,10 +588,8 @@ class MachineState:
 
         key = (arrival.cluster, local, arrival.state)
         if key not in ctx.expanded:
-            return True, work
-        if valued and arrival.value < ctx.expanded[key]:
-            return True, work
-        return False, work
+            return True
+        return valued and arrival.value < ctx.expanded[key]
 
     def message_to_arrival(self, msg: ActivationMessage) -> Arrival:
         """Convert a transported activation message back to a delivery."""
@@ -605,85 +609,77 @@ class MachineState:
     # ------------------------------------------------------------------
     def and_marker(self, cid: int, instr: AndMarker) -> WorkReport:
         """AND-MARKER over this cluster's status table."""
-        tables = self.clusters[cid]
-        snapshot = self._source_sets(cid, instr)
-        words = tables.status.and_rows(instr.marker1, instr.marker2,
-                                       instr.marker3)
-        return self._combine_values(cid, instr, snapshot).merge(
-            WorkReport(words=words)
-        )
+        words = self.clusters[cid].status.and_rows(
+            instr.marker1, instr.marker2, instr.marker3)
+        # Both sources are set wherever marker-3 now is.
+        return WorkReport(words=words,
+                          fp_ops=self._combine_values(cid, instr, None))
 
     def or_marker(self, cid: int, instr: OrMarker) -> WorkReport:
         """OR-MARKER over this cluster's status table."""
-        tables = self.clusters[cid]
-        snapshot = self._source_sets(cid, instr)
-        words = tables.status.or_rows(instr.marker1, instr.marker2,
-                                      instr.marker3)
-        return self._combine_values(cid, instr, snapshot).merge(
-            WorkReport(words=words)
-        )
-
-    def _source_sets(self, cid: int, instr) -> Tuple[set, set]:
-        """Set-status of both source markers *before* marker-3 is
-        written (marker-3 may alias a source)."""
-        if not is_complex(instr.marker3):
-            return set(), set()
-        tables = self.clusters[cid]
-        return (
-            set(tables.status.nodes_with(instr.marker1)),
-            set(tables.status.nodes_with(instr.marker2)),
-        )
+        status = self.clusters[cid].status
+        sources = None
+        if is_complex(instr.marker3):
+            # Source status words before marker-3 (which may alias a
+            # source) is written.
+            sources = (status.row(instr.marker1).copy(),
+                       status.row(instr.marker2).copy())
+        words = status.or_rows(instr.marker1, instr.marker2, instr.marker3)
+        return WorkReport(words=words,
+                          fp_ops=self._combine_values(cid, instr, sources))
 
     def _combine_values(
         self,
         cid: int,
         instr: Union[AndMarker, OrMarker],
-        snapshot: Tuple[set, set],
-    ) -> WorkReport:
-        """Merge source values into marker-3 where it is now set.
+        sources: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> int:
+        """Merge source values into marker-3 where it is now set;
+        returns the number of values written.
 
-        For AND-MARKER both sources are set wherever marker-3 is, so
-        the combine function always applies.  For OR-MARKER a node may
-        carry only one of the sources; the combine function applies
-        only where both were set, otherwise the present source's value
-        is taken unchanged (an unset marker has no value to merge).
+        ``sources`` holds OR-MARKER's source status words from before
+        the write (None for AND-MARKER, whose sources are both set
+        wherever marker-3 is).  The combine function applies only where
+        both sources were set; elsewhere the present source's value is
+        taken unchanged (an unset marker has no value to merge).  The
+        origin is marker-1's where it has one, else marker-2's.
         """
-        work = WorkReport()
         if not is_complex(instr.marker3):
-            return work
+            return 0
         tables = self.clusters[cid]
         combine = self.functions.combine(instr.function)
-        is_or = isinstance(instr, OrMarker)
-        m1_set, m2_set = snapshot
-        for lid in tables.status.nodes_with(instr.marker3):
-            v1 = tables.node_table.get_value(lid, instr.marker1)
-            v2 = tables.node_table.get_value(lid, instr.marker2)
-            origin = tables.node_table.get_origin(lid, instr.marker1)
-            if origin < 0:
-                origin = tables.node_table.get_origin(lid, instr.marker2)
-            if is_or and lid not in m1_set:
-                value = v2
-            elif is_or and lid not in m2_set:
-                value = v1
-            else:
-                value = combine.combine(v1, v2)
-            tables.node_table.set_value(lid, instr.marker3, value, origin)
-            work.fp_ops += 1
-        return work
+        lids = tables.status.nodes_with_array(instr.marker3)
+        if not lids.size:
+            return 0
+        registers = tables.node_table
+        v1, o1 = registers.gather(instr.marker1, lids)
+        v2, o2 = registers.gather(instr.marker2, lids)
+        if sources is None:
+            values = combine.combine_many(v1, v2)
+        else:
+            has1 = bits_at(sources[0], lids)
+            both = has1 & bits_at(sources[1], lids)
+            values = np.where(has1, v1, v2)
+            values[both] = combine.combine_many(v1[both], v2[both])
+        registers.set_values(instr.marker3, lids, values,
+                             np.where(o1 < 0, o2, o1))
+        return lids.size
 
     def not_marker(self, cid: int, instr: NotMarker) -> WorkReport:
         """m2 := nodes where m1 is clear or fails the condition."""
         tables = self.clusters[cid]
-        work = WorkReport()
-        work.words += tables.status.not_row(instr.marker1, instr.marker2)
+        status = tables.status
+        work = WorkReport(words=status.not_row(instr.marker1, instr.marker2))
         if instr.condition != "always":
             cond = condition(instr.condition)
-            for lid in tables.status.nodes_with(instr.marker1):
-                v1 = tables.node_table.get_value(lid, instr.marker1)
-                work.fp_ops += 1
-                if not cond(v1, instr.value):
-                    tables.status.set(instr.marker2, lid)
-                    work.sets += 1
+            # Read after the complement: with marker-2 aliasing
+            # marker-1 this sees the complemented row.
+            lids = status.nodes_with_array(instr.marker1)
+            values = tables.node_table.gather(instr.marker1, lids)[0]
+            failed = lids[~np.asarray(cond(values, instr.value), dtype=bool)]
+            status.set_many(instr.marker2, failed)
+            work.fp_ops = lids.size
+            work.sets = failed.size
         return work
 
     # ------------------------------------------------------------------
@@ -715,12 +711,12 @@ class MachineState:
         if not is_complex(instr.marker):
             return work
         unary = self.functions.unary(instr.function)
-        for lid in tables.status.nodes_with(instr.marker):
-            value = tables.node_table.get_value(lid, instr.marker)
-            origin = tables.node_table.get_origin(lid, instr.marker)
-            tables.node_table.set_value(lid, instr.marker,
-                                        unary.apply(value), origin)
-            work.fp_ops += 1
+        lids = tables.status.nodes_with_array(instr.marker)
+        if lids.size:
+            values, origins = tables.node_table.gather(instr.marker, lids)
+            tables.node_table.set_values(instr.marker, lids,
+                                         unary.apply_many(values), origins)
+            work.fp_ops = lids.size
         return work
 
     # ------------------------------------------------------------------
@@ -775,32 +771,27 @@ class MachineState:
     ) -> Tuple[List[Tuple[int, str]], WorkReport]:
         """Collect (gid, name) for locally marked nodes."""
         tables = self.clusters[cid]
-        work = WorkReport(words=tables.status.num_words)
-        out = []
-        for lid in tables.status.nodes_with(instr.marker):
-            gid = tables.to_global[lid]
-            out.append((gid, self.node_name(gid)))
-            work.nodes += 1
-        return out, work
+        to_global, node_name = tables.to_global, self.node_name
+        out = [
+            (to_global[lid], node_name(to_global[lid]))
+            for lid in tables.status.nodes_with(instr.marker)
+        ]
+        return out, WorkReport(words=tables.status.num_words, nodes=len(out))
 
     def collect_marker(
         self, cid: int, instr: CollectMarker
     ) -> Tuple[List[Tuple[int, float, int]], WorkReport]:
         """Collect (gid, value, origin) for locally marked nodes."""
         tables = self.clusters[cid]
-        work = WorkReport(words=tables.status.num_words)
-        out = []
-        for lid in tables.status.nodes_with(instr.marker):
-            gid = tables.to_global[lid]
-            out.append(
-                (
-                    gid,
-                    tables.node_table.get_value(lid, instr.marker),
-                    tables.node_table.get_origin(lid, instr.marker),
-                )
-            )
-            work.nodes += 1
-        return out, work
+        lids = tables.status.nodes_with_array(instr.marker)
+        values, origins = tables.node_table.gather(instr.marker, lids)
+        to_global = tables.to_global
+        out = [
+            (to_global[lid], value, origin)
+            for lid, value, origin in zip(
+                lids.tolist(), values.tolist(), origins.tolist())
+        ]
+        return out, WorkReport(words=tables.status.num_words, nodes=len(out))
 
     def collect_relation(
         self, cid: int, instr: CollectRelation
@@ -829,13 +820,13 @@ class MachineState:
     ) -> Tuple[List[Tuple[int, int]], WorkReport]:
         """Collect (gid, color) for locally marked nodes."""
         tables = self.clusters[cid]
-        work = WorkReport(words=tables.status.num_words)
-        out = []
-        for lid in tables.status.nodes_with(instr.marker):
-            gid = tables.to_global[lid]
-            out.append((gid, int(tables.node_table.color[lid])))
-            work.nodes += 1
-        return out, work
+        lids = tables.status.nodes_with_array(instr.marker)
+        to_global = tables.to_global
+        out = list(zip(
+            [to_global[lid] for lid in lids.tolist()],
+            tables.node_table.color[lids].tolist(),
+        ))
+        return out, WorkReport(words=tables.status.num_words, nodes=len(out))
 
     # ------------------------------------------------------------------
     # Whole-state queries (tests / applications)

@@ -46,6 +46,23 @@ class TableError(ValueError):
     """Raised on capacity violations or bad table access."""
 
 
+def _tail_mask(num_nodes: int) -> np.uint32:
+    """Mask of the last status word's bits that hold nodes, so whole-row
+    writes keep the padding bits (all 32 of an empty table's one word)
+    clear."""
+    tail = num_nodes % WORD_BITS
+    if tail or not num_nodes:
+        return np.uint32((1 << tail) - 1)
+    return np.uint32(0xFFFFFFFF)
+
+
+def bits_at(words: np.ndarray, locals_: np.ndarray) -> np.ndarray:
+    """Status bits of ``locals_`` in a row of status words, as bools."""
+    return (
+        (words[locals_ // WORD_BITS] >> (locals_ % WORD_BITS)) & 1
+    ).astype(bool)
+
+
 class MarkerStatusTable:
     """Bit-packed active/inactive state for all 128 markers.
 
@@ -58,11 +75,7 @@ class MarkerStatusTable:
         self.num_nodes = num_nodes
         self.num_words = max(1, -(-num_nodes // WORD_BITS))
         self._bits = np.zeros((NUM_MARKERS, self.num_words), dtype=np.uint32)
-        # Mask clearing padding bits beyond num_nodes in the last word.
-        self._tail_mask = np.uint32(0xFFFFFFFF)
-        tail = num_nodes % WORD_BITS
-        if tail:
-            self._tail_mask = np.uint32((1 << tail) - 1)
+        self._tail_mask = _tail_mask(num_nodes)
 
     # -- single-bit operations --------------------------------------------
     def set(self, marker: int, local: int) -> bool:
@@ -76,7 +89,7 @@ class MarkerStatusTable:
         return True
 
     def clear(self, marker: int, local: int) -> None:
-        """Discard all stored records."""
+        """Clear one marker bit at a local node."""
         word, bit = divmod(local, WORD_BITS)
         self._bits[marker, word] &= np.uint32(~np.uint32(1 << bit))
 
@@ -135,22 +148,12 @@ class MarkerStatusTable:
 
     def nodes_with(self, marker: int) -> List[int]:
         """Local ids of nodes where the marker is set, ascending."""
-        out: List[int] = []
-        base = 0
-        for word in self._bits[marker].tolist():
-            while word:
-                low = word & -word
-                out.append(base + low.bit_length() - 1)
-                word ^= low
-            base += WORD_BITS
-        return out
+        return self.nodes_with_array(marker).tolist()
 
     # -- bulk operations (vectorized propagation backend) ---------------
     def test_many(self, marker: int, locals_: np.ndarray) -> np.ndarray:
         """Bit test for an array of local ids; returns a bool array."""
-        words = locals_ // WORD_BITS
-        bits = locals_ % WORD_BITS
-        return ((self._bits[marker][words] >> bits) & 1).astype(bool)
+        return bits_at(self._bits[marker], locals_)
 
     def set_many(self, marker: int, locals_: np.ndarray) -> None:
         """Set the marker at every listed local id (duplicates fine)."""
@@ -159,10 +162,12 @@ class MarkerStatusTable:
         np.bitwise_or.at(self._bits[marker], words, masks)
 
     def nodes_with_array(self, marker: int) -> np.ndarray:
-        """Like :meth:`nodes_with`, as an ascending int64 array."""
-        row = self._bits[marker].astype("<u4")
-        flat = np.unpackbits(row.view(np.uint8), bitorder="little")
-        return np.nonzero(flat[: self.num_nodes])[0].astype(np.int64)
+        """Local ids of nodes where the marker is set, as an ascending
+        int64 array: the whole row's words unpacked at once."""
+        row = self._bits[marker].astype("<u4", copy=False)
+        return np.unpackbits(
+            row.view(np.uint8), count=self.num_nodes, bitorder="little"
+        ).nonzero()[0]
 
     def nonzero_words(self, marker: int) -> int:
         """How many status words are nonzero (MU scan shortcut)."""
@@ -185,10 +190,7 @@ class MarkerStatusTable:
                            dtype=np.uint32)
             self._bits = np.concatenate([self._bits, pad], axis=1)
             self.num_words = new_words
-        tail = self.num_nodes % WORD_BITS
-        self._tail_mask = (
-            np.uint32((1 << tail) - 1) if tail else np.uint32(0xFFFFFFFF)
-        )
+        self._tail_mask = _tail_mask(self.num_nodes)
 
 
 class NodeTable:
@@ -225,6 +227,17 @@ class NodeTable:
         self._dirty.add(marker)
         self.value[marker, locals_] = values
         self.origin[marker, locals_] = origins
+
+    def gather(
+        self, marker: int, locals_: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A marker's values (float64) and origins at many nodes; a
+        binary marker reads as value 0.0, origin -1 everywhere."""
+        if is_complex(marker):
+            return (self.value[marker, locals_].astype(np.float64),
+                    self.origin[marker, locals_])
+        return (np.zeros(len(locals_)),
+                np.full(len(locals_), -1, dtype=np.int32))
 
     def fill(self, marker: int, value: float) -> None:
         """Set a complex marker's value at every node, origin cleared

@@ -328,7 +328,9 @@ class Job:
 
     ``on_done`` is invoked as ``on_done(*args)`` when service
     completes, so hot paths can pass a reusable bound method plus its
-    arguments instead of building a fresh closure per job.
+    arguments instead of building a fresh closure per job.  Per-task
+    jobs are built positionally, ``Job(service_time, None, on_done,
+    None, args)``, which is cheaper than keyword arguments.
     """
 
     service_time: float

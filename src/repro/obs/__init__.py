@@ -25,8 +25,8 @@ host and fleet layers stream into, windowed aggregation, burn-rate
 SLO alerting, and ground-truth detection scoring over the injected
 fault schedules (``python -m repro monitor <workload>``).
 
-Wall-clock performance observability lives in :mod:`.perf`: a
-background-thread sampling profiler with flamegraph export
+Wall-clock performance observability lives in :mod:`.perf`: an
+interval-timer sampling profiler with flamegraph export
 (``python -m repro perf profile <experiment id>``).
 
 Capture entry points: ``python -m repro trace <workload>``

@@ -4,8 +4,8 @@ The rest of :mod:`repro.obs` watches *simulated* time; this package
 watches the **host clock**, the quantity the ROADMAP's "as fast as
 the hardware allows" north star is denominated in:
 
-* :mod:`.profiler` — a background-thread sampling profiler (no
-  ``sys.setprofile``, no signals) producing folded flamegraph stacks,
+* :mod:`.profiler` — an interval-timer sampling profiler of the main
+  thread (no ``sys.setprofile``) producing folded flamegraph stacks,
   a deterministic hot-spot report with subsystem bucket rollups, and
   a wall-vs-simulated join that attributes real seconds to pipeline
   phases when a trace is captured on the same run.
@@ -20,6 +20,7 @@ from .profiler import (
     BUCKET_PREFIXES,
     DEFAULT_HZ,
     Profile,
+    ProfilerThreadError,
     SamplingProfiler,
     bucket_of,
     frame_label,
@@ -32,6 +33,7 @@ __all__ = [
     "BUCKET_PREFIXES",
     "DEFAULT_HZ",
     "Profile",
+    "ProfilerThreadError",
     "SamplingProfiler",
     "bucket_of",
     "frame_label",

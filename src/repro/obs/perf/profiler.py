@@ -2,9 +2,9 @@
 
 Everything else in :mod:`repro.obs` observes *simulated* time; this
 module observes the **host clock** — where the real seconds go while
-the simulator runs.  A background thread wakes at a configurable rate
-and snapshots the target thread's Python stack via
-``sys._current_frames()`` (no ``sys.setprofile`` hooks, no signals:
+the simulator runs.  A wall-clock interval timer (``ITIMER_REAL``)
+raises ``SIGALRM`` at a configurable rate, and the handler records the
+Python stack the main thread was running (no ``sys.setprofile`` hooks:
 the workload executes unmodified, and overhead is bounded by the
 sampling rate rather than by the event rate of the profiled code).
 
@@ -26,15 +26,19 @@ Three consumers of one sample table:
   scalar fallbacks cost inside a PROPAGATE that is "cheap" in
   simulated time.
 
-Sampling honesty: the sampler sees only the frames the GIL lets it
-see, at the cadence the host scheduler grants.  Counts are estimates;
-ratios between frames on the same profile are the signal.
+Sampling honesty: Python runs a signal handler between bytecodes, so
+a tick that lands inside a C call (a numpy kernel, say) is recorded
+when the call returns, against the Python frame that made it.  That is
+where the time belongs.  A sampler *thread* is biased instead: it
+needs the GIL to read another thread's stack, so its samples land
+wherever the main thread happens to release the GIL.  Counts are
+estimates; ratios between frames on the same profile are the signal.
 """
 
 from __future__ import annotations
 
 import re
-import sys
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -303,15 +307,21 @@ class Profile:
         return record
 
 
-class SamplingProfiler:
-    """Background-thread stack sampler for the calling thread.
+class ProfilerThreadError(RuntimeError):
+    """Raised by :meth:`SamplingProfiler.start` off the main thread:
+    Python delivers the timer signal to the main thread only."""
 
-    ``start()`` records the caller as the target and launches the
-    sampler thread; ``stop()`` joins it and returns the
-    :class:`Profile`.  Both are idempotent: a second ``start()`` while
-    running is a no-op, ``stop()`` without a running sampler returns
-    the profile collected so far (empty if never started).  Usable as
-    a context manager::
+
+class SamplingProfiler:
+    """Interval-timer stack sampler for the main thread.
+
+    ``start()`` installs a ``SIGALRM`` handler and arms a wall-clock
+    interval timer; ``stop()`` disarms it, puts the previous handler
+    back and returns the :class:`Profile`.  Both are idempotent: a
+    second ``start()`` while running is a no-op, ``stop()`` without a
+    running sampler returns the profile collected so far (empty if
+    never started).  ``start()`` from any other thread raises
+    :class:`ProfilerThreadError`.  Usable as a context manager::
 
         profiler = SamplingProfiler(hz=200)
         with profiler:
@@ -327,41 +337,48 @@ class SamplingProfiler:
         self._samples: Dict[Tuple[str, ...], int] = {}
         self._sample_count = 0
         self._duration_s = 0.0
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._target_ident: Optional[int] = None
+        self._running = False
+        self._previous_handler: Any = None
         self._started_at = 0.0
+        #: Frame label per code object, so a tick costs one dict probe
+        #: per frame instead of a path parse.
+        self._labels: Dict[Any, str] = {}
 
     @property
     def running(self) -> bool:
-        return self._thread is not None
+        return self._running
 
     def start(self) -> "SamplingProfiler":
-        """Begin sampling the calling thread.  No-op when running."""
-        if self._thread is not None:
+        """Begin sampling the main thread.  No-op when running."""
+        if self._running:
             return self
-        self._target_ident = threading.get_ident()
-        self._stop_event.clear()
+        if threading.current_thread() is not threading.main_thread():
+            raise ProfilerThreadError(
+                "SamplingProfiler.start() must run on the main thread, "
+                "which alone receives the interval-timer signal"
+            )
+        self._previous_handler = signal.signal(signal.SIGALRM, self._on_tick)
+        self._running = True
         self._started_at = time.perf_counter()
-        self._thread = threading.Thread(
-            target=self._sample_loop, name="repro-perf-sampler", daemon=True
-        )
-        self._thread.start()
+        signal.setitimer(signal.ITIMER_REAL, self._interval, self._interval)
         return self
 
     def stop(self) -> Profile:
         """Stop sampling and return the profile.  Safe to call twice."""
-        if self._thread is not None:
-            self._stop_event.set()
-            self._thread.join()
-            self._thread = None
+        if self._running:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            # None: the previous handler was not installed from Python.
+            previous = self._previous_handler
+            signal.signal(signal.SIGALRM,
+                          signal.SIG_DFL if previous is None else previous)
+            self._running = False
             self._duration_s += time.perf_counter() - self._started_at
         return self.profile()
 
     def profile(self) -> Profile:
         """The samples collected so far (live while running)."""
         duration = self._duration_s
-        if self._thread is not None:
+        if self._running:
             duration += time.perf_counter() - self._started_at
         return Profile(
             samples=dict(self._samples),
@@ -376,23 +393,26 @@ class SamplingProfiler:
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
 
-    # -- sampler thread -------------------------------------------------
-    def _sample_loop(self) -> None:
-        while not self._stop_event.wait(self._interval):
-            frame = sys._current_frames().get(self._target_ident)
-            if frame is None:
-                continue
-            stack: List[str] = []
-            depth = 0
-            while frame is not None and depth < MAX_STACK_DEPTH:
-                code = frame.f_code
-                stack.append(frame_label(code.co_filename, code.co_name))
-                frame = frame.f_back
-                depth += 1
-            stack.reverse()
-            key = tuple(stack)
-            self._samples[key] = self._samples.get(key, 0) + 1
-            self._sample_count += 1
+    # -- timer signal handler -------------------------------------------
+    def _on_tick(self, signum: int, frame: Any) -> None:
+        """Record the interrupted stack (``frame`` is its leaf)."""
+        labels = self._labels
+        stack: List[str] = []
+        while frame is not None and len(stack) < MAX_STACK_DEPTH:
+            code = frame.f_code
+            label = labels.get(code)
+            if label is None:
+                label = labels[code] = frame_label(
+                    code.co_filename, code.co_name
+                )
+            stack.append(label)
+            frame = frame.f_back
+        if not stack:
+            return
+        stack.reverse()
+        key = tuple(stack)
+        self._samples[key] = self._samples.get(key, 0) + 1
+        self._sample_count += 1
 
 
 # ----------------------------------------------------------------------

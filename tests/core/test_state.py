@@ -28,6 +28,7 @@ from repro.isa import (
     chain,
     complex_marker,
 )
+from repro.isa.program import SnapProgram
 from repro.network import Color
 
 
@@ -66,6 +67,62 @@ class TestSearch:
     def test_search_unknown_relation_noop(self, engine):
         engine.execute(SearchRelation("never-registered", M0))
         assert engine.state.marker_set_nodes(M0) == []
+
+
+def _hub_kb():
+    """A hub with 20 ``has`` links: the fanout split moves five of them
+    (and a continuation slot) into the subnode ``hub#1``."""
+    from repro.network.graph import SemanticNetwork
+
+    net = SemanticNetwork()
+    net.add_node("hub")
+    for i in range(20):
+        net.add_link("hub", "has", net.add_node(f"leaf{i}").node_id, 1.0)
+    return net
+
+
+def test_whole_row_ops_on_an_empty_cluster():
+    """A cluster hosting no node contributes nothing to NOT-MARKER or
+    SET-MARKER results (it used to report 32 phantom nodes)."""
+    from repro.network.graph import SemanticNetwork
+
+    net = SemanticNetwork()
+    net.add_node("only")
+    engine = FunctionalEngine(net, num_clusters=2)
+    engine.execute(NotMarker(M0, M1, 0.0, "eq"))
+    engine.execute(SetMarker(M2, 1.0))
+    assert engine.execute(CollectNode(M1)).result == [(0, "only")]
+    assert engine.execute(CollectNode(M2)).result == [(0, "only")]
+
+
+class TestSearchRelationSkipsSubnodes:
+    """SEARCH-RELATION marks a node once, by its logical row: the
+    continuation subnode holding part of that row is not a node of its
+    own."""
+
+    PROGRAM = [SearchRelation("has", B0), CollectNode(B0)]
+
+    @pytest.mark.parametrize("backend", ["python", "vectorized"])
+    def test_functional_engine(self, backend):
+        engine = FunctionalEngine(_hub_kb(), num_clusters=2, backend=backend)
+        search = engine.execute(self.PROGRAM[0])
+        collect = engine.execute(self.PROGRAM[1])
+        assert collect.result == [(0, "hub")]
+        # The hub's 16 static slots plus the subnode's 5, each once.
+        assert search.work.slots == 21
+
+    def test_snap_machine(self):
+        from repro.machine import MachineConfig, SnapMachine
+
+        machine = SnapMachine(_hub_kb(), MachineConfig(num_clusters=2))
+        report = machine.run(SnapProgram(list(self.PROGRAM)))
+        assert report.results() == [[(0, "hub")]]
+
+    def test_simd_machine(self):
+        from repro.baselines.simd import SimdMachine
+
+        report = SimdMachine(_hub_kb()).run(SnapProgram(list(self.PROGRAM)))
+        assert report.results() == [[(0, "hub")]]
 
 
 class TestSetClear:

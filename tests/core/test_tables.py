@@ -66,6 +66,15 @@ class TestMarkerStatusTable:
         table.or_rows(1, 2, 3)
         assert table.nodes_with(3) == [0, 39]
 
+    def test_empty_table_has_no_padding_nodes(self):
+        # A cluster that hosts no node still has one status word; no
+        # whole-row write may set a bit in it.
+        table = MarkerStatusTable(0)
+        table.set_all(1)
+        table.not_row(2, 3)
+        assert table.nodes_with(1) == [] and table.nodes_with(3) == []
+        assert not table.any(1) and not table.any(3)
+
     def test_not_row_keeps_padding_clear(self):
         table = MarkerStatusTable(40)
         table.set(1, 5)

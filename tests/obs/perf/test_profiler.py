@@ -1,11 +1,14 @@
 """Sampling profiler: sampler lifecycle, folded stacks, rollups, join."""
 
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.obs.perf.profiler import (
     Profile,
+    ProfilerThreadError,
     SamplingProfiler,
     bucket_of,
     frame_label,
@@ -198,6 +201,66 @@ class TestSamplerLifecycle:
     def test_invalid_hz_rejected(self):
         with pytest.raises(ValueError):
             SamplingProfiler(hz=0)
+
+
+_CHUNKS = [np.zeros(20_000) for _ in range(8)]
+
+
+def _python_half() -> int:
+    total = 0
+    for i in range(20_000):
+        total += i * i
+    return total
+
+
+def _numpy_half() -> None:
+    for _ in range(6):
+        np.concatenate(_CHUNKS)
+
+
+class TestSamplerBias:
+    def test_samples_follow_wall_time_across_c_calls(self):
+        """A loop alternating pure-Python work with numpy calls: the
+        numpy half's share of samples tracks its share of wall time.
+        (A sampler thread, which needs the GIL to look, put every
+        sample on the numpy half.)"""
+        wall = {"python": 0.0, "numpy": 0.0}
+        profiler = SamplingProfiler()
+        profiler.start()
+        deadline = time.perf_counter() + 0.6
+        while time.perf_counter() < deadline:
+            a = time.perf_counter()
+            _python_half()
+            b = time.perf_counter()
+            _numpy_half()
+            wall["python"] += b - a
+            wall["numpy"] += time.perf_counter() - b
+        profile = profiler.stop()
+        inclusive = profile.inclusive_counts()
+        hits = {
+            half: sum(count for label, count in inclusive.items()
+                      if label.endswith(f":_{half}_half"))
+            for half in wall
+        }
+        assert sum(hits.values()) > 0
+        sample_share = hits["numpy"] / sum(hits.values())
+        wall_share = wall["numpy"] / sum(wall.values())
+        assert abs(sample_share - wall_share) < 0.15
+        assert profile.effective_hz > 0.5 * profile.hz
+
+    def test_start_off_the_main_thread_raises(self):
+        raised = []
+
+        def start():
+            try:
+                SamplingProfiler().start()
+            except ProfilerThreadError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=start)
+        thread.start()
+        thread.join()
+        assert len(raised) == 1
 
 
 class TestWallSimulatedJoin:
