@@ -100,7 +100,7 @@ class PythonBackend(PropagationBackend):
             for seed in seeds:
                 local_out, remote_out = state.expand(ctx, seed, work)
                 queue.extend(local_out)
-                queue.extend(state.message_to_arrival(m) for m in remote_out)
+                queue.extend(remote_out)
 
         while queue:
             arrival = queue.popleft()
@@ -108,7 +108,7 @@ class PythonBackend(PropagationBackend):
                 continue
             local_out, remote_out = state.expand(ctx, arrival, work)
             queue.extend(local_out)
-            queue.extend(state.message_to_arrival(m) for m in remote_out)
+            queue.extend(remote_out)
 
         return PropagationOutcome(
             work=work,

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..isa.functions import FunctionRegistry, HopFunction, always_alive, condition
 from ..isa.instructions import (
+    NUM_COMPLEX_MARKERS,
     AndMarker,
     ClearMarker,
     CollectColor,
@@ -64,7 +65,6 @@ from ..network.builder import continuation_chain, preprocess_fanout
 from ..network.graph import SemanticNetwork
 from ..network.node import Color
 from ..network.partition import Partitioning, make_partition
-from .activation import ActivationMessage
 from .tables import (
     MACHINE_NODE_CAPACITY,
     ClusterTables,
@@ -115,7 +115,12 @@ class WorkReport:
 
 @dataclass(slots=True)
 class Arrival:
-    """A marker delivery pending at a cluster (local or remote origin)."""
+    """A marker delivery pending at a cluster.
+
+    The same record serves a local delivery and a remote one: the
+    timed machine carries a remote :class:`Arrival` across the
+    interconnect as its activation message.
+    """
 
     cluster: int
     local: int
@@ -124,7 +129,6 @@ class Arrival:
     origin: int
     level: int
     hops: int
-    remote: bool = False
 
 
 #: Compiled rule: state -> ((relation id, next state), ...).
@@ -502,12 +506,12 @@ class MachineState:
 
     def expand(
         self, ctx: PropagationContext, arrival: Arrival, work: WorkReport
-    ) -> Tuple[List[Arrival], List[ActivationMessage]]:
+    ) -> Tuple[List[Arrival], List[Arrival]]:
         """Expand propagation from a node: scan links, emit deliveries.
 
-        Local destinations come back as :class:`Arrival`; destinations
-        on other clusters come back as :class:`ActivationMessage` for
-        the CU/ICN to transport.  The work is added into ``work``, the
+        Returns ``(local, remote)`` deliveries: those on this cluster,
+        and those on other clusters, which the CU/ICN transports as
+        activation messages.  The work is added into ``work``, the
         record of the MU task doing the expansion.
         """
         key = (arrival.cluster, arrival.local, arrival.state)
@@ -522,6 +526,7 @@ class MachineState:
             return [], []
 
         hop = ctx.hop
+        combine = hop.combine  # hop.apply without its extra frame
         alive = None if hop.alive is always_alive else hop.alive
         cluster = arrival.cluster
         value = arrival.value
@@ -532,30 +537,27 @@ class MachineState:
         work.slots += next(links)
 
         local_out: List[Arrival] = []
-        remote_out: List[ActivationMessage] = []
+        remote_out: List[Arrival] = []
+        fp_ops = 0
         for relation, dest_cluster, dest_local, _gid, weight in zip(
             links, links, links, links, links
         ):
             for rid, next_state in moves:
                 if relation != rid:
                     continue
-                new_value = hop.apply(value, weight)
-                work.fp_ops += 1
+                new_value = combine(value, weight)
+                fp_ops += 1
                 if alive is not None and not alive(new_value):
                     continue
+                out = Arrival(dest_cluster, dest_local, next_state,
+                              new_value, origin, level, hops)
                 if dest_cluster == cluster:
-                    local_out.append(Arrival(
-                        cluster, dest_local, next_state, new_value,
-                        origin, level, hops,
-                    ))
+                    local_out.append(out)
                 else:
-                    work.messages += 1
-                    ctx.remote_messages += 1
-                    remote_out.append(ActivationMessage(
-                        ctx.instr.marker2, new_value, 0, ctx.rule,
-                        next_state, dest_cluster, dest_local, origin,
-                        level, hops,
-                    ))
+                    remote_out.append(out)
+        work.fp_ops += fp_ops
+        work.messages += len(remote_out)
+        ctx.remote_messages += len(remote_out)
         return local_out, remote_out
 
     def deliver(
@@ -578,7 +580,8 @@ class MachineState:
             ctx.max_hops = arrival.hops
 
         was_clear = tables.status.set(marker, local)
-        valued = is_complex(marker)
+        # is_complex(marker), inlined on the per-arrival path.
+        valued = 0 <= marker < NUM_COMPLEX_MARKERS
         if valued:
             registers = tables.node_table
             if was_clear or arrival.value < registers.get_value(local, marker):
@@ -590,19 +593,6 @@ class MachineState:
         if key not in ctx.expanded:
             return True
         return valued and arrival.value < ctx.expanded[key]
-
-    def message_to_arrival(self, msg: ActivationMessage) -> Arrival:
-        """Convert a transported activation message back to a delivery."""
-        return Arrival(
-            cluster=msg.dest_cluster,
-            local=msg.dest_local,
-            state=msg.state,
-            value=msg.value,
-            origin=msg.origin,
-            level=msg.level,
-            hops=msg.hops,
-            remote=True,
-        )
 
     # ------------------------------------------------------------------
     # Boolean operations (word-wise over the status table)

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..host.health import HealthState, health_transition_records
 from ..machine.config import Timing
-from ..machine.des import Job, Server, Simulator
+from ..machine.des import Server, Simulator
 from ..network.graph import SemanticNetwork
 from ..obs.tracer import get_tracer
 from .config import FleetConfig
@@ -289,10 +289,9 @@ class FleetRouter:
                 f"leg q{leg.state.query.query_id}", now,
                 region=region, home=home == region,
             )
-        self._server(sid, region).submit(Job(
-            service_time=service,
-            on_done=self._leg_done_cb,
-            args=(leg, leg.attempt, replica, answer, slowdown),
+        self._server(sid, region).submit((
+            service, None, self._leg_done_cb,
+            (leg, leg.attempt, replica, answer, slowdown),
         ))
 
     def _server(self, shard_id: int, region: int) -> Server:

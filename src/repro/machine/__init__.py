@@ -19,7 +19,6 @@ from .config import (
     uniprocessor,
 )
 from .des import (
-    Job,
     Server,
     ServerPool,
     SimulationError,
@@ -70,7 +69,7 @@ from .machine import SnapMachine
 __all__ = [
     "ConfigError", "MachineConfig", "Timing", "cluster_sweep",
     "processor_sweep", "snap1_16cluster", "snap1_full", "uniprocessor",
-    "Job", "Server", "ServerPool", "SimulationError", "Simulator",
+    "Server", "ServerPool", "SimulationError", "Simulator",
     "Timeout", "utilization",
     "EVENT_KINDS", "REGION_EVENT_KINDS",
     "FaultConfig", "FaultConfigError", "FaultEvent",

@@ -43,6 +43,9 @@ def work_service_time(work: WorkReport, timing: Timing) -> float:
 #: messages fit comfortably in a 2K x 32 region.
 ACTIVATION_QUEUE_CAPACITY = 256
 
+#: PU circular instruction-queue capacity, in instructions.
+PU_QUEUE_CAPACITY = 64
+
 
 class ClusterSim:
     """Simulation-side state of one cluster."""
@@ -73,7 +76,7 @@ class ClusterSim:
     @property
     def queue_full(self) -> bool:
         """PU circular instruction queue at capacity."""
-        return self.instructions_queued >= 64
+        return self.instructions_queued >= PU_QUEUE_CAPACITY
 
     @property
     def idle(self) -> bool:

@@ -19,13 +19,21 @@ closure per event; cancellation is O(1) lazy removal with a live-event
 counter, and the heap is compacted in bulk once cancelled entries
 outnumber live ones — so cancellation-heavy serving runs (hedges,
 deadline watchdogs) neither leak memory nor pay per-entry pop costs.
+
+Server jobs are plain tuples ``(service_time, on_start, on_done,
+args)``.  A job entering service pushes its completion event onto the
+heap itself, and an idle server starts a submitted job without
+queueing it, so one job costs one tuple and one heap entry.
+Observation is a single hook on :meth:`Simulator.run` (``sample``), so
+there is one dispatch loop whether a tracer is attached or not.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
-from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 
@@ -43,6 +51,10 @@ _Event = list
 #: amortized cost O(1) per cancellation while bounding heap growth to
 #: ~2x the live-event count for cancellation-heavy workloads.
 COMPACT_THRESHOLD = 512
+
+#: Events between two samples of :meth:`Simulator.run`'s ``sample``
+#: hook.
+SAMPLE_EVERY = 256
 
 
 class Simulator:
@@ -122,13 +134,19 @@ class Simulator:
 
         Rebuilding cannot change the firing order: pop order is a
         function of the total ``(time, seq)`` order alone, not of the
-        heap's internal layout.
+        heap's internal layout.  The list is rebuilt in place, so the
+        run loop and the servers may hold on to it.
         """
-        self._heap = [e for e in self._heap if e[2] is not None]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [e for e in heap if e[2] is not None]
+        heapq.heapify(heap)
         self._dead = 0
 
-    def run(self, until: Optional[float] = None) -> float:
+    def run(
+        self,
+        until: Optional[float] = None,
+        sample: Optional[Callable[[int, int], None]] = None,
+    ) -> float:
         """Process events until the heap empties (or ``until`` passes).
 
         Boundary semantics (inclusive): events scheduled *exactly* at
@@ -144,6 +162,12 @@ class Simulator:
         number, so it fires after every already-queued event of the
         same timestamp, in submission order (FIFO tie-breaking).
 
+        ``sample`` is the kernel's observability hook: when given, it
+        is called as ``sample(heap_size, pending)`` after every
+        :data:`SAMPLE_EVERY`-th event of this call (heap slots and
+        live pending events at that instant).  Detached, the loop pays
+        one integer comparison per event for it.
+
         ``events_processed``, ``pending``, and ``last_event_us`` are
         flushed once per :meth:`run` call, not per event — callbacks
         must not read them mid-run (none do; they are post-run report
@@ -153,119 +177,41 @@ class Simulator:
         """
         heap = self._heap
         heappop = heapq.heappop
+        limit = math.inf if until is None else until
+        mark = SAMPLE_EVERY if sample is not None else -1
         fired = 0
         last = self.last_event_us
-        try:
-            if until is None:
-                while heap:
-                    event = heappop(heap)
-                    fn = event[2]
-                    if fn is None:
-                        self._dead -= 1
-                        continue
-                    args = event[3]
-                    # Mark consumed: a late cancel() of this handle is
-                    # a no-op, and callback/argument refs are released.
-                    event[2] = None
-                    event[3] = ()
-                    last = event[0]
-                    self.now = last
-                    fired += 1
-                    fn(*args)
-                    heap = self._heap  # _compact() may swap the list
-            else:
-                while heap:
-                    event = heap[0]
-                    fn = event[2]
-                    if fn is None:
-                        heappop(heap)
-                        self._dead -= 1
-                        continue
-                    event_time = event[0]
-                    if event_time > until:
-                        break
-                    heappop(heap)
-                    args = event[3]
-                    event[2] = None
-                    event[3] = ()
-                    last = event_time
-                    self.now = event_time
-                    fired += 1
-                    fn(*args)
-                    heap = self._heap
-        finally:
-            self._live -= fired
-            self.events_processed += fired
-            self.last_event_us = last
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def run_traced(
-        self,
-        tracer,
-        track: int,
-        until: Optional[float] = None,
-        sample_every: int = 256,
-        ts_offset: float = 0.0,
-    ) -> float:
-        """:meth:`run` with kernel observability (opt-in slow path).
-
-        Identical boundary/tie-break semantics and event ordering to
-        :meth:`run` — the only additions are a ``des.run`` span
-        covering the dispatch window and a ``heap`` counter sample
-        (heap slots, live pending events) every ``sample_every``
-        events, all on the caller-supplied ``track`` of the given
-        :class:`repro.obs.tracer.Tracer`.  ``ts_offset`` shifts every
-        emitted timestamp — a nested simulation (a replica serving one
-        query) places its kernel activity at the host time it ran.
-
-        Kept as a separate loop so the hot :meth:`run` path pays
-        nothing for instrumentation — callers branch once per run, not
-        once per event (the ≤5 % disabled-overhead contract in
-        ``docs/OBSERVABILITY.md``).
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        fired = 0
-        last = self.last_event_us
-        span = tracer.begin(track, "des.run", ts_offset + self.now)
-        counter = tracer.counter
         try:
             while heap:
-                event = heap[0]
+                event = heappop(heap)
                 fn = event[2]
                 if fn is None:
-                    heappop(heap)
                     self._dead -= 1
                     continue
                 event_time = event[0]
-                if until is not None and event_time > until:
+                if event_time > limit:
+                    # Past the horizon: put it back (pop order depends
+                    # on (time, seq) alone, so this changes nothing).
+                    heapq.heappush(heap, event)
                     break
-                heappop(heap)
                 args = event[3]
+                # Mark consumed: a late cancel() of this handle is a
+                # no-op, and callback/argument refs are released.
                 event[2] = None
                 event[3] = ()
                 last = event_time
                 self.now = event_time
                 fired += 1
                 fn(*args)
-                heap = self._heap  # _compact() may swap the list
-                if fired % sample_every == 0:
-                    counter(track, "heap", ts_offset + self.now, {
-                        "heap_size": len(heap),
-                        "pending": self._live - fired,
-                    })
+                if fired == mark:
+                    sample(len(heap), self._live - fired)
+                    mark += SAMPLE_EVERY
         finally:
             self._live -= fired
             self.events_processed += fired
             self.last_event_us = last
         if until is not None and until > self.now:
             self.now = until
-        tracer.end(span, ts_offset + self.now, events=fired)
-        counter(track, "heap", ts_offset + self.now, {
-            "heap_size": len(self._heap), "pending": self._live,
-        })
         return self.now
 
     @property
@@ -322,22 +268,13 @@ class Timeout:
         return not self._cancelled and not self.expired
 
 
-@dataclass(slots=True)
-class Job:
-    """A unit of work submitted to a server: service time + completion.
-
-    ``on_done`` is invoked as ``on_done(*args)`` when service
-    completes, so hot paths can pass a reusable bound method plus its
-    arguments instead of building a fresh closure per job.  Per-task
-    jobs are built positionally, ``Job(service_time, None, on_done,
-    None, args)``, which is cheaper than keyword arguments.
-    """
-
-    service_time: float
-    on_start: Optional[Callable[[], None]] = None
-    on_done: Optional[Callable[..., None]] = None
-    tag: Any = None
-    args: Tuple[Any, ...] = ()
+#: A unit of work submitted to a server: the tuple
+#: ``(service_time, on_start, on_done, args)``.  ``on_start()`` (or
+#: ``None``) runs as service begins; ``on_done(*args)`` (or ``None``)
+#: runs when it completes, so hot paths pass one reusable bound method
+#: plus its arguments instead of building a closure per job.
+Job = Tuple[float, Optional[Callable[[], None]], Optional[Callable[..., None]],
+            Tuple[Any, ...]]
 
 
 class Server:
@@ -352,10 +289,15 @@ class Server:
     time than actually elapsed.
 
     ``penalty_hook`` is the fault-injection hook: when set, it is
-    consulted as each job enters service and may return extra service
-    microseconds (e.g. a transient SCP/bus timeout penalty).  Left at
-    ``None`` — the default — the server's behavior is bit-identical to
-    a hook-free build.
+    called as ``penalty_hook(service_time)`` as each job enters service
+    and may return extra service microseconds (e.g. a transient
+    SCP/bus timeout penalty).  Left at ``None`` — the default — the
+    server's behavior is bit-identical to a hook-free build.
+
+    A job entering service pushes its completion event straight onto
+    the simulator's heap (same sequence-number assignment as
+    :meth:`Simulator.schedule`), and a job submitted to an idle server
+    starts without passing through the queue.
     """
 
     def __init__(self, sim: Simulator, name: str = "server") -> None:
@@ -365,12 +307,15 @@ class Server:
         self._busy = False
         self.busy_time = 0.0
         self.jobs_done = 0
+        #: Most jobs ever waiting at once (excluding the one in service).
         self.max_queue = 0
-        self.penalty_hook: Optional[Callable[[Job], float]] = None
+        self.penalty_hook: Optional[Callable[[float], float]] = None
         #: Completion timestamp of the job in service (valid when busy).
         self._service_end = 0.0
         #: Reusable completion callback (no per-job closure).
         self._finish_cb = self._finish
+        #: The simulator's event heap (a list that is never replaced).
+        self._heap = sim._heap
 
     @property
     def busy(self) -> bool:
@@ -389,32 +334,42 @@ class Server:
 
     def submit(self, job: Job) -> None:
         """Enqueue a job; service starts when capacity frees."""
-        self._queue.append(job)
-        if len(self._queue) > self.max_queue:
-            self.max_queue = len(self._queue)
-        if not self._busy:
-            self._start_next()
+        if self._busy:
+            queue = self._queue
+            queue.append(job)
+            if len(queue) > self.max_queue:
+                self.max_queue = len(queue)
+        else:
+            self._start(job)
 
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
+    def _start(self, job: Job) -> None:
+        service, on_start, on_done, args = job
         self._busy = True
-        job = self._queue.popleft()
-        if job.on_start:
-            job.on_start()
-        service = job.service_time
+        if on_start is not None:
+            on_start()
         if self.penalty_hook is not None:
-            service += self.penalty_hook(job)
+            service += self.penalty_hook(service)
+        if service < 0.0:
+            raise SimulationError(f"negative service time: {service}")
         self.busy_time += service
-        event = self.sim.schedule(service, self._finish_cb, job)
-        self._service_end = event[0]
+        sim = self.sim
+        end = sim.now + service
+        self._service_end = end
+        seq = sim._seq
+        sim._seq = seq + 1
+        sim._live += 1
+        heappush(self._heap, [end, seq, self._finish_cb, job])
 
-    def _finish(self, job: Job) -> None:
+    def _finish(self, _service: float, _on_start: Any,
+                on_done: Optional[Callable[..., None]],
+                args: Tuple[Any, ...]) -> None:
         self.jobs_done += 1
-        if job.on_done:
-            job.on_done(*job.args)
-        self._start_next()
+        if on_done is not None:
+            on_done(*args)
+        if self._queue:
+            self._start(self._queue.popleft())
+        else:
+            self._busy = False
 
     def busy_time_until(self, now: float) -> float:
         """Busy time actually *elapsed* by ``now``.
@@ -429,7 +384,13 @@ class Server:
 
 
 class ServerPool:
-    """``k`` identical FIFO servers sharing one queue (the MU pool)."""
+    """``k`` identical FIFO servers sharing one queue (the MU pool).
+
+    Jobs start and complete as in :class:`Server`.  A job submitted
+    while a server is free *and* nobody waits starts at once; while a
+    completion callback runs, the finishing server is already free but
+    the queue may still hold older jobs, which keep their turn.
+    """
 
     def __init__(self, sim: Simulator, servers: int, name: str = "pool") -> None:
         if servers < 1:
@@ -443,12 +404,14 @@ class ServerPool:
         self._busy = 0
         self.busy_time = 0.0
         self.jobs_done = 0
+        #: Most jobs ever waiting at once (excluding those in service).
         self.max_queue = 0
         #: Fault-injection hook; see :class:`Server`.
-        self.penalty_hook: Optional[Callable[[Job], float]] = None
+        self.penalty_hook: Optional[Callable[[float], float]] = None
         #: Completion timestamps of the jobs in service.
         self._service_ends: List[float] = []
         self._finish_cb = self._finish
+        self._heap = sim._heap
 
     @property
     def busy_servers(self) -> int:
@@ -467,11 +430,15 @@ class ServerPool:
 
     def submit(self, job: Job) -> None:
         """Enqueue a job; service starts when capacity frees."""
-        self._queue.append(job)
-        if len(self._queue) > self.max_queue:
-            self.max_queue = len(self._queue)
+        queue = self._queue
+        if not queue and self._busy < self.num_servers:
+            self._start(job)
+            return
+        queue.append(job)
+        if len(queue) > self.max_queue:
+            self.max_queue = len(queue)
         if self._busy < self.num_servers:
-            self._start_next()
+            self._start(queue.popleft())
 
     def submit_batch(self, jobs: List[Job]) -> None:
         """Enqueue a fan-out of jobs in one call.
@@ -484,12 +451,16 @@ class ServerPool:
         """
         queue = self._queue
         num_servers = self.num_servers
+        start = self._start
         for job in jobs:
+            if not queue and self._busy < num_servers:
+                start(job)
+                continue
             queue.append(job)
             if len(queue) > self.max_queue:
                 self.max_queue = len(queue)
             if self._busy < num_servers:
-                self._start_next()
+                start(queue.popleft())
 
     def resize(self, servers: int) -> None:
         """Change pool capacity mid-run (fault-timeline MU loss/restore).
@@ -507,29 +478,36 @@ class ServerPool:
         if servers > self.peak_servers:
             self.peak_servers = servers
         while self._queue and self._busy < self.num_servers:
-            self._start_next()
+            self._start(self._queue.popleft())
 
-    def _start_next(self) -> None:
-        if not self._queue or self._busy >= self.num_servers:
-            return
-        job = self._queue.popleft()
+    def _start(self, job: Job) -> None:
+        service, on_start, on_done, args = job
         self._busy += 1
-        if job.on_start:
-            job.on_start()
-        service = job.service_time
+        if on_start is not None:
+            on_start()
         if self.penalty_hook is not None:
-            service += self.penalty_hook(job)
+            service += self.penalty_hook(service)
+        if service < 0.0:
+            raise SimulationError(f"negative service time: {service}")
         self.busy_time += service
-        event = self.sim.schedule(service, self._finish_cb, job)
-        self._service_ends.append(event[0])
+        sim = self.sim
+        end = sim.now + service
+        self._service_ends.append(end)
+        seq = sim._seq
+        sim._seq = seq + 1
+        sim._live += 1
+        heappush(self._heap, [end, seq, self._finish_cb, job])
 
-    def _finish(self, job: Job) -> None:
+    def _finish(self, _service: float, _on_start: Any,
+                on_done: Optional[Callable[..., None]],
+                args: Tuple[Any, ...]) -> None:
         self._busy -= 1
         self._service_ends.remove(self.sim.now)
         self.jobs_done += 1
-        if job.on_done:
-            job.on_done(*job.args)
-        self._start_next()
+        if on_done is not None:
+            on_done(*args)
+        if self._queue and self._busy < self.num_servers:
+            self._start(self._queue.popleft())
 
     def busy_time_until(self, now: float) -> float:
         """Busy time actually *elapsed* by ``now`` (see

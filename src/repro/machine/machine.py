@@ -22,7 +22,7 @@ True
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.state import MachineState
 from ..isa.instructions import Instruction
@@ -76,6 +76,10 @@ class SnapMachine:
         # stay warm across programs (a big win for host serving, where
         # one machine executes thousands of queries).
         self.topology = HypercubeTopology(self.config.num_clusters)
+        #: Transport tables per fault state, shared by every run (same
+        #: topology, same timing), so each (src, dest) pair is routed
+        #: once per fault state.
+        self._route_tables: Dict[Any, Dict[int, Tuple]] = {}
         self.last_report: Optional[MachineRunReport] = None
         #: Process name this machine's tracks are filed under in a
         #: trace (the host layer sets one per replica, e.g.
@@ -113,6 +117,7 @@ class SnapMachine:
             tracer=tracer, metrics=metrics,
             trace_offset_us=trace_offset_us,
             trace_name=self.trace_name,
+            route_tables=self._route_tables,
         )
         self.last_report = simulation.run(program, budget_us=budget_us)
         return self.last_report

@@ -27,9 +27,9 @@ is functionally identical to the golden model by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.activation import ActivationMessage
+from ..core.activation import ActivationMessage, unpack
 from ..core.engine import (
     KIND_COLLECT,
     KIND_GLOBAL,
@@ -46,16 +46,26 @@ from ..core.state import (
 from ..isa.instructions import Category, Instruction, SetColor
 from ..isa.program import SnapProgram
 from ..obs.tracer import get_tracer
-from .cluster import ClusterSim, build_clusters, pe_index_of_cluster, work_service_time
+from .cluster import (
+    PU_QUEUE_CAPACITY,
+    ClusterSim,
+    build_clusters,
+    pe_index_of_cluster,
+    work_service_time,
+)
 from .config import MachineConfig
-from .des import Job, Simulator, Timeout
+from .des import Job, Server, Simulator, Timeout
 from .faults import FaultInjector
 from .icn import HypercubeTopology
 from .report import InstructionTrace, MachineRunReport, OverheadBreakdown
 from .sync import SyncStats, TieredSynchronizer, barrier_cost
 
 
-@dataclass
+#: Category key of every propagation-time charge.
+_PROPAGATE = Category.PROPAGATE
+
+
+@dataclass(slots=True)
 class _InstrState:
     """Bookkeeping for one in-flight instruction."""
 
@@ -65,6 +75,9 @@ class _InstrState:
     #: The instruction's dispatch kind and MachineState primitive.
     kind: str
     primitive: Optional[Callable]
+    #: Markers the instruction reads and writes (issue dependencies).
+    reads: FrozenSet[int]
+    writes: FrozenSet[int]
     clusters_remaining: int = 0
     scan_done: bool = False
     pending: int = 0
@@ -94,7 +107,12 @@ class SnapSimulation:
         metrics=None,
         trace_offset_us: float = 0.0,
         trace_name: str = "machine",
+        route_tables: Optional[Dict[Any, Dict[int, Tuple]]] = None,
     ) -> None:
+        """``route_tables`` holds the transport tables (see
+        :meth:`_route_entry`) per fault state; pass the same dict to
+        every run on one topology and one configuration so each pair
+        is routed once per fault state, not once per run."""
         if state.num_clusters != config.num_clusters:
             raise ValueError(
                 "machine state and configuration disagree on cluster count"
@@ -138,8 +156,6 @@ class SnapSimulation:
             total_pes=config.total_pes,
         )
         # Controller: PCP + SCP + global bus, serialized.
-        from .des import Server
-
         self.controller = Server(self.sim, name="controller")
         if self.faults is not None and self.faults.cfg.scp_timeout_prob > 0:
             self.controller.penalty_hook = self._scp_penalty
@@ -162,6 +178,17 @@ class SnapSimulation:
         self._program: Optional[SnapProgram] = None
         self._pc = 0
         self._in_flight: Dict[int, _InstrState] = {}
+        #: Clusters whose PU instruction queue is at capacity.
+        self._full_queues = 0
+        #: Transport per ``src * num_clusters + dest`` (see
+        #: :meth:`_route_entry`) under the current fault state; a fault
+        #: event that changes routing switches tables.
+        self._route_tables = route_tables if route_tables is not None else {}
+        self._transport = self._route_table()
+        self._num_clusters = config.num_clusters
+        self._pack = config.pack_messages
+        #: The report's per-category busy time (see :meth:`_attribute`).
+        self._category_busy = self.report.category_busy_us
         self._traces: Dict[int, InstructionTrace] = {}
         self._pe_of_cluster = [
             pe_index_of_cluster(config, cid)
@@ -218,10 +245,7 @@ class SnapSimulation:
         self._pc = 0
         self._try_issue()
         if self._tr is not None:
-            self.sim.run_traced(
-                self._tr, self._tk_kernel,
-                until=budget_us, ts_offset=self._off,
-            )
+            self._run_observed(budget_us)
         else:
             self.sim.run(until=budget_us)
         incomplete = self._in_flight or self._pc < len(program)
@@ -261,6 +285,27 @@ class SnapSimulation:
             self._feed_metrics()
         return self.report
 
+    def _run_observed(self, budget_us: Optional[float]) -> None:
+        """Run the kernel with its ``des.run`` span and ``heap`` counter.
+
+        The span covers the dispatch window; the kernel's ``sample``
+        hook records heap slots and live pending events every
+        :data:`~repro.machine.des.SAMPLE_EVERY` events, and one final
+        sample closes the run, all on the ``des-kernel`` track.
+        """
+        tr, track, off, sim = self._tr, self._tk_kernel, self._off, self.sim
+
+        def sample(heap_size: int, pending: int) -> None:
+            tr.counter(track, "heap", off + sim.now, {
+                "heap_size": heap_size, "pending": pending,
+            })
+
+        before = sim.events_processed
+        span = tr.begin(track, "des.run", off + sim.now)
+        sim.run(until=budget_us, sample=sample)
+        tr.end(span, off + sim.now, events=sim.events_processed - before)
+        sample(sim.heap_size, sim.pending)
+
     def _feed_metrics(self) -> None:
         """Fold the finished run's report into the metrics registry.
 
@@ -288,7 +333,7 @@ class SnapSimulation:
     # ------------------------------------------------------------------
     # Fault hooks
     # ------------------------------------------------------------------
-    def _scp_penalty(self, job: Job) -> float:
+    def _scp_penalty(self, service: float) -> float:
         """Transient SCP/bus timeout: stretch this broadcast's service."""
         assert self.faults is not None
         if self.faults.scp_timeout():
@@ -311,8 +356,8 @@ class SnapSimulation:
         """
         faults = self.faults
 
-        def penalty(job: Job) -> float:
-            extra = (faults.slowdown_for(cid) - 1.0) * job.service_time
+        def penalty(service: float) -> float:
+            extra = (faults.slowdown_for(cid) - 1.0) * service
             if extra > 0.0:
                 faults.stats.slowdown_us += extra
             return extra
@@ -354,6 +399,7 @@ class SnapSimulation:
                 c for c in self.clusters if not c.failed
             ]
             self.topology.note_fault_state(blocked, faults.blocked_links)
+            self._transport = self._route_table()
         if event.kind in ("mu-fail", "mu-repair"):
             cid = event.cluster
             count = faults.current_mu_counts[cid]
@@ -443,8 +489,7 @@ class SnapSimulation:
         off = self._off
         sim = self.sim
         start_holder: List[float] = []
-        orig_start = job.on_start
-        orig_done = job.on_done
+        service, orig_start, orig_done, args = job
 
         def _on_start() -> None:
             start_holder.append(sim.now)
@@ -457,9 +502,7 @@ class SnapSimulation:
             if orig_done is not None:
                 orig_done(*args)
 
-        job.on_start = _on_start
-        job.on_done = _on_done
-        return job
+        return (service, _on_start, _on_done, args)
 
     def _traced_mu_job(self, cid: int, job: Job) -> Job:
         """Wrap an MU-pool job to sample the cluster's busy-MU count.
@@ -473,8 +516,7 @@ class SnapSimulation:
         sim = self.sim
         track = self._tk_cluster[cid]
         pool = self.clusters[cid].mus
-        orig_start = job.on_start
-        orig_done = job.on_done
+        service, orig_start, orig_done, args = job
 
         def _on_start() -> None:
             tr.counter(track, "mu_busy", off + sim.now, pool.busy_servers)
@@ -486,14 +528,15 @@ class SnapSimulation:
             if orig_done is not None:
                 orig_done(*args)
 
-        job.on_start = _on_start
-        job.on_done = _on_done
-        return job
+        return (service, _on_start, _on_done, args)
 
     # ------------------------------------------------------------------
     # Controller
     # ------------------------------------------------------------------
-    def _depends_on_inflight(self, instr: Instruction, kind: str) -> bool:
+    def _depends_on_inflight(
+        self, instr: Instruction, kind: str,
+        reads: FrozenSet[int], writes: FrozenSet[int],
+    ) -> bool:
         if instr.category == Category.COLLECT and self._in_flight:
             # COLLECT-NODE forces PU serialization: full barrier.
             return True
@@ -502,11 +545,9 @@ class SnapSimulation:
             # performs it only when the pipeline is empty (§III-C
             # "housekeeping is performed when the pipeline is empty").
             return True
-        reads, writes = set(instr.reads()), set(instr.writes())
+        touched = reads | writes
         for st in self._in_flight.values():
-            sw = set(st.instr.writes())
-            sr = set(st.instr.reads())
-            if sw & (reads | writes) or sr & writes:
+            if st.writes & touched or st.reads & writes:
                 return True
         return False
 
@@ -516,23 +557,25 @@ class SnapSimulation:
             return
         if len(self._in_flight) >= self.cfg.instruction_queue_depth:
             return
-        if any(c.queue_full for c in self.clusters):
+        if self._full_queues:
             return
         instr = program[self._pc]
         entry = dispatch_entry(type(instr))
         if entry is None:
             raise ExecutionError(f"unsupported instruction: {instr.opcode}")
         kind, primitive = entry
-        if self._depends_on_inflight(instr, kind):
+        reads, writes = frozenset(instr.reads()), frozenset(instr.writes())
+        if self._depends_on_inflight(instr, kind, reads, writes):
             return  # re-tried on every instruction completion
         index = self._pc
         self._pc += 1
-        st = _InstrState(index, instr, self.sim.now, kind, primitive)
+        st = _InstrState(index, instr, self.sim.now, kind, primitive,
+                         reads, writes)
         self._in_flight[index] = st
         service = self.timing.t_pcp + self.timing.t_broadcast
         self.report.overheads.broadcast += self.timing.t_broadcast
         self._attribute(instr.category, self.timing.t_broadcast)
-        job = Job(service, on_done=self._broadcast_done, args=(st,))
+        job = (service, None, self._broadcast_done, (st,))
         if self._tr is not None:
             self._trace_issue(st)
             job = self._traced_span_job(
@@ -560,8 +603,10 @@ class SnapSimulation:
         st.clusters_remaining = len(self.alive_clusters)
         for cluster in self.alive_clusters:
             cluster.instructions_queued += 1
-            job = Job(self.timing.t_decode, None, self._decode_done, None,
-                      (st, cluster))
+            if cluster.instructions_queued == PU_QUEUE_CAPACITY:
+                self._full_queues += 1
+            job = (self.timing.t_decode, None, self._decode_done,
+                   (st, cluster))
             if self._tr is not None:
                 job = self._traced_span_job(
                     self._tk_cluster[cluster.cluster_id],
@@ -591,7 +636,7 @@ class SnapSimulation:
         st.clusters_remaining = 1
         service = work_service_time(work, self.timing)
         self._attribute(instr.category, service)
-        job = Job(service, on_done=self._cluster_task_done, args=(st,))
+        job = (service, None, self._cluster_task_done, (st,))
         if self._tr is not None:
             job = self._traced_mu_job(home, job)
         self.clusters[home].mus.submit(job)
@@ -602,6 +647,8 @@ class SnapSimulation:
     # ------------------------------------------------------------------
     def _decode_done(self, st: _InstrState, cluster: ClusterSim) -> None:
         cluster.instructions_queued -= 1
+        if cluster.instructions_queued == PU_QUEUE_CAPACITY - 1:
+            self._full_queues -= 1
         if st.kind == KIND_PROPAGATE:
             self._dispatch_seed_scan(st, cluster)
             return
@@ -615,7 +662,7 @@ class SnapSimulation:
         st.work_ops += work.total()
         service = work_service_time(work, self.timing)
         self._attribute(st.instr.category, service)
-        job = Job(service, None, self._cluster_task_done, None, args)
+        job = (service, None, self._cluster_task_done, args)
         if self._tr is not None:
             job = self._traced_mu_job(cid, job)
         cluster.mus.submit(job)
@@ -630,7 +677,7 @@ class SnapSimulation:
         cid = cluster.cluster_id
         seeds, work = self.state.seeds(ctx, cid)
         local_out: List[Arrival] = []
-        remote_out: List[ActivationMessage] = []
+        remote_out: List[Arrival] = []
         for seed in seeds:
             seed_local, seed_remote = self.state.expand(ctx, seed, work)
             local_out.extend(seed_local)
@@ -638,8 +685,8 @@ class SnapSimulation:
         st.work_ops += work.total()
         service = work_service_time(work, self.timing)
         self._attribute(Category.PROPAGATE, service)
-        job = Job(service, None, self._seed_scan_done, None,
-                  (st, cid, local_out, remote_out))
+        job = (service, None, self._seed_scan_done,
+               (st, cid, local_out, remote_out))
         if self._tr is not None:
             self._tr.instant(
                 self._tk_cluster[cid], "seed-scan",
@@ -654,69 +701,53 @@ class SnapSimulation:
         st: _InstrState,
         cid: int,
         local_out: List[Arrival],
-        remote_out: List[ActivationMessage],
-    ) -> None:
-        self._release_outputs(st, cid, local_out, remote_out)
-        self._cluster_task_done(st)
-
-    def _release_outputs(
-        self,
-        st: _InstrState,
-        cid: int,
-        local_out: Sequence[Arrival],
-        remote_out: Sequence[ActivationMessage],
+        remote_out: List[Arrival],
     ) -> None:
         if local_out:
-            self._spawn_arrival_batch(st, local_out)
-        for msg in remote_out:
-            self._send_message(st, cid, msg)
+            self._spawn_arrivals(st, cid, local_out)
+        for arrival in remote_out:
+            self._send_message(st, cid, arrival)
+        self._cluster_task_done(st)
 
-    def _prepare_arrival(self, st: _InstrState, arrival: Arrival) -> Job:
+    def _prepare_arrival(
+        self, st: _InstrState, arrival: Arrival, pe: int
+    ) -> Job:
         """Deliver a marker at its destination node (one MU task)."""
         ctx = st.ctx
+        state = self.state
         work = WorkReport()
-        if self.state.deliver(ctx, arrival, work):
-            local_out, remote_out = self.state.expand(ctx, arrival, work)
+        if state.deliver(ctx, arrival, work):
+            local_out, remote_out = state.expand(ctx, arrival, work)
         else:
             local_out = remote_out = ()
         st.work_ops += work.total()
-        st.pending += 1
-        pe = self._pe_of_cluster[arrival.cluster]
-        self.syncer.produce(pe, st.index)
         service = work_service_time(work, self.timing)
-        self._attribute(Category.PROPAGATE, service)
-        job = Job(service, None, self._arrival_done, None,
-                  (st, arrival.cluster, pe, local_out, remote_out))
+        busy = self._category_busy
+        busy[_PROPAGATE] = busy.get(_PROPAGATE, 0.0) + service
+        cid = arrival.cluster
+        job = (service, None, self._arrival_done,
+               (st, cid, pe, local_out, remote_out))
         if self._tr is not None:
-            job = self._traced_mu_job(arrival.cluster, job)
+            job = self._traced_mu_job(cid, job)
         return job
 
-    def _spawn_arrival_job(self, st: _InstrState, arrival: Arrival) -> None:
-        job = self._prepare_arrival(st, arrival)
-        self.clusters[arrival.cluster].mus.submit(job)
-
-    def _spawn_arrival_batch(
-        self, st: _InstrState, arrivals: List[Arrival]
+    def _spawn_arrivals(
+        self, st: _InstrState, cid: int, arrivals: Sequence[Arrival]
     ) -> None:
-        """Deliver a fan-out of markers, batched per destination cluster.
+        """Deliver markers at cluster ``cid`` as one MU-pool submission.
 
-        Consecutive arrivals bound for the same cluster become one
-        aggregated MU-pool submission.  Delivery/expansion side effects
-        run in arrival order and ``submit_batch`` preserves per-job
-        enqueue order, so the event trace is identical to N sequential
-        submissions — only the per-call overhead is amortized.
+        Delivery/expansion side effects run in arrival order and
+        ``submit_batch`` preserves per-job enqueue order, so the event
+        trace is identical to N sequential submissions.  The cluster
+        reports the N process creations to the synchronizer at once.
         """
+        pe = self._pe_of_cluster[cid]
         batch: List[Job] = []
-        batch_cid = -1
         for arrival in arrivals:
-            cid = arrival.cluster
-            if cid != batch_cid and batch:
-                self.clusters[batch_cid].mus.submit_batch(batch)
-                batch = []
-            batch_cid = cid
-            batch.append(self._prepare_arrival(st, arrival))
-        if batch:
-            self.clusters[batch_cid].mus.submit_batch(batch)
+            batch.append(self._prepare_arrival(st, arrival, pe))
+        st.pending += len(batch)
+        self.syncer.produce(pe, st.index, len(batch))
+        self.clusters[cid].mus.submit_batch(batch)
 
     def _arrival_done(
         self,
@@ -724,85 +755,132 @@ class SnapSimulation:
         cid: int,
         pe: int,
         local_out: Sequence[Arrival],
-        remote_out: Sequence[ActivationMessage],
+        remote_out: Sequence[Arrival],
     ) -> None:
-        self._release_outputs(st, cid, local_out, remote_out)
+        if local_out:
+            self._spawn_arrivals(st, cid, local_out)
+        for arrival in remote_out:
+            self._send_message(st, cid, arrival)
         self.syncer.consume(pe, st.index)
         st.pending -= 1
-        self._check_propagate_done(st)
+        if not st.pending:
+            self._check_propagate_done(st)
 
-    def _send_message(
-        self, st: _InstrState, src: int, msg: ActivationMessage
-    ) -> None:
-        """Transport an activation message across the hypercube."""
-        if self.cfg.pack_messages:
-            # Round-trip through the 64-bit wire format: values are
-            # bfloat16-truncated exactly as on the hardware.
-            from ..core.activation import unpack
+    def _wire_round_trip(self, st: _InstrState, arrival: Arrival) -> Arrival:
+        """Pass a remote delivery through the 64-bit wire format.
 
-            raw = msg.pack([msg.rule])
-            msg = unpack(raw, [msg.rule], level=msg.level, hops=msg.hops)
+        Values come back bfloat16-truncated exactly as on the hardware.
+        """
+        ctx = st.ctx
+        msg = ActivationMessage(
+            ctx.instr.marker2, arrival.value, 0, ctx.rule, arrival.state,
+            arrival.cluster, arrival.local, arrival.origin,
+            arrival.level, arrival.hops,
+        )
+        msg = unpack(msg.pack([ctx.rule]), [ctx.rule],
+                     level=arrival.level, hops=arrival.hops)
+        return Arrival(msg.dest_cluster, msg.dest_local, msg.state,
+                       msg.value, msg.origin, msg.level, msg.hops)
+
+    def _route_table(self) -> Dict[int, Tuple]:
+        """The transport table of the current fault state."""
+        key = None if self.faults is None else (
+            self.faults.blocked_clusters, self.faults.blocked_links
+        )
+        table = self._route_tables.get(key)
+        if table is None:
+            table = self._route_tables[key] = {}
+        return table
+
+    def _route_entry(self, src: int, dest: int) -> Tuple:
+        """``(path, hop dimensions, latency, rerouted)`` from ``src``.
+
+        Fault-free, ``path`` is the dimension-ordered route.  Under
+        faults it is :meth:`HypercubeTopology.route_avoiding`'s path
+        around the current blocked clusters and links, or ``None`` when
+        none survives; ``rerouted`` says it differs from the
+        fault-free route.
+        """
+        topology = self.topology
+        rerouted = False
         if self.faults is None:
-            path = self.topology.route(src, msg.dest_cluster)
+            path = topology.route(src, dest)
         else:
-            path = self.topology.route_avoiding(
+            path = topology.route_avoiding(
                 src,
-                msg.dest_cluster,
+                dest,
                 blocked_clusters=self.faults.blocked_clusters,
                 blocked_links=self.faults.blocked_links,
             )
             if path is None:
-                # No surviving route: the marker simply never arrives
-                # (graceful degradation — accuracy, not correctness).
-                self.faults.stats.messages_unreachable += 1
-                if self._tr is not None:
-                    self._tr.instant(
-                        self._tk_faults, "msg-unreachable",
-                        self._off + self.sim.now,
-                        src=src, dest=msg.dest_cluster,
-                    )
-                return
-            if path != self.topology.route(src, msg.dest_cluster):
-                self.faults.stats.messages_rerouted += 1
-                if self._tr is not None:
-                    self._tr.instant(
-                        self._tk_faults, "msg-rerouted",
-                        self._off + self.sim.now,
-                        src=src, dest=msg.dest_cluster, hops=len(path),
-                    )
+                return None, (), 0.0, False
+            rerouted = path != topology.route(src, dest)
+        hops = len(path)
+        timing = self.timing
+        latency = (
+            timing.t_cu_dma
+            + hops * timing.t_hop
+            + max(0, hops - 1) * timing.t_forward
+        )
+        return (tuple(path), topology.path_dimensions(src, path), latency,
+                rerouted)
+
+    def _send_message(self, st: _InstrState, src: int, arrival: Arrival) -> None:
+        """Transport a remote marker delivery across the hypercube."""
+        if self._pack:
+            arrival = self._wire_round_trip(st, arrival)
+        dest = arrival.cluster
+        key = src * self._num_clusters + dest
+        entry = self._transport.get(key)
+        if entry is None:
+            entry = self._transport[key] = self._route_entry(src, dest)
+        path, dimensions, latency, rerouted = entry
+        if path is None:
+            # No surviving route: the marker simply never arrives
+            # (graceful degradation — accuracy, not correctness).
+            self.faults.stats.messages_unreachable += 1
+            if self._tr is not None:
+                self._tr.instant(
+                    self._tk_faults, "msg-unreachable",
+                    self._off + self.sim.now,
+                    src=src, dest=dest,
+                )
+            return
+        if rerouted:
+            self.faults.stats.messages_rerouted += 1
+            if self._tr is not None:
+                self._tr.instant(
+                    self._tk_faults, "msg-rerouted",
+                    self._off + self.sim.now,
+                    src=src, dest=dest, hops=len(path),
+                )
         st.pending += 1
         st.messages += 1
         pe = self._pe_of_cluster[src]
         self.syncer.produce(pe, st.index)
-        self.report.sync_stats.count_message()
-        hops = len(path)
-        latency = (
-            self.timing.t_cu_dma
-            + hops * self.timing.t_hop
-            + max(0, hops - 1) * self.timing.t_forward
-        )
+        report = self.report
+        report.sync_stats.count_message()
         # One atomic stats update per message: the hop count and the
         # per-dimension counts come from the same (cached) path, so
         # they can never disagree.
-        self.report.icn_stats.record_message(
-            self.topology.path_dimensions(src, path), latency
-        )
-        self.report.overheads.communication += latency
-        self._attribute(Category.PROPAGATE, latency)
+        report.icn_stats.record_message(dimensions, latency)
+        report.overheads.communication += latency
+        busy = self._category_busy
+        busy[_PROPAGATE] = busy.get(_PROPAGATE, 0.0) + latency
         if self._tr is not None:
             ts = self._off + self.sim.now
             self._tr.instant(
                 self._tk_cluster[src], "msg-send", ts,
-                dest=msg.dest_cluster, hops=hops, instr=st.index,
+                dest=dest, hops=len(path), instr=st.index,
                 latency_us=latency,
             )
             self._tr.counter(
                 self._tk_icn, "messages", ts,
-                self.report.icn_stats.messages,
+                report.icn_stats.messages,
             )
 
         source_cluster = self.clusters[src]
-        source_cluster.activation_queue.push(msg)
+        source_cluster.activation_queue.push(arrival)
         # Per-transfer recovery record, carried hop to hop.  Created
         # only when corruption is possible, so the fault-free (and the
         # corruption-free faulty) transport path is untouched.
@@ -810,8 +888,8 @@ class SnapSimulation:
         if self.faults is not None and self.faults.corruption_possible:
             rec = {"attempts": 0, "alive": True, "watchdog": None, "src": src}
 
-        job = Job(self.timing.t_cu_dma, None, self._launch_message, None,
-                  (st, pe, msg, path, rec, source_cluster))
+        job = (self.timing.t_cu_dma, None, self._launch_message,
+               (st, pe, arrival, path, rec, source_cluster))
         if self._tr is not None:
             job = self._traced_span_job(
                 self._tk_cu[src], f"dma #{st.index}", job
@@ -822,41 +900,41 @@ class SnapSimulation:
         self,
         st: _InstrState,
         producer_pe: int,
-        msg: ActivationMessage,
-        path: List[int],
+        arrival: Arrival,
+        path: Tuple[int, ...],
         rec: Optional[Dict[str, Any]],
         source_cluster: ClusterSim,
     ) -> None:
         """Source CU DMA done: the message leaves the activation memory."""
         source_cluster.activation_queue.pop()
-        self._advance_message(st, producer_pe, msg, path, 0, rec)
+        self._advance_message(st, producer_pe, arrival, path, 0, rec)
 
     def _advance_message(
         self,
         st: _InstrState,
         producer_pe: int,
-        msg: ActivationMessage,
-        path: List[int],
+        arrival: Arrival,
+        path: Tuple[int, ...],
         hop_index: int,
         rec: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """One wire hop; store-and-forward at intermediate CUs."""
+        """Start the wire transfer of hop ``hop_index``."""
         if not path:
             # Destination is the source cluster (can happen only when a
             # packed message round-trips); deliver directly.
-            self._deliver_message(st, producer_pe, msg)
+            self._deliver_message(st, producer_pe, arrival)
             return
         self.sim.schedule(
             self.timing.t_hop,
-            self._after_wire, st, producer_pe, msg, path, hop_index, rec,
+            self._after_wire, st, producer_pe, arrival, path, hop_index, rec,
         )
 
     def _after_wire(
         self,
         st: _InstrState,
         producer_pe: int,
-        msg: ActivationMessage,
-        path: List[int],
+        arrival: Arrival,
+        path: Tuple[int, ...],
         hop_index: int,
         rec: Optional[Dict[str, Any]],
     ) -> None:
@@ -870,19 +948,22 @@ class SnapSimulation:
                 # Parity caught a corrupted transfer on this hop:
                 # retry the hop after a backoff instead of
                 # delivering poisoned data.
-                self._retry_hop(st, producer_pe, msg, path, hop_index, rec)
+                self._retry_hop(st, producer_pe, arrival, path, hop_index, rec)
                 return
         if hop_index == len(path) - 1:
             if rec is not None and rec["watchdog"] is not None:
                 watchdog = rec["watchdog"]
                 if watchdog.armed:
                     watchdog.cancel()
-            self._deliver_message(st, producer_pe, msg)
+            self._deliver_message(st, producer_pe, arrival)
         else:
+            # Store and forward: once the intermediate CU has forwarded
+            # the message, the next hop's wire transfer starts.
             target = path[hop_index]
             forwarder = self.clusters[target]
-            job = Job(self.timing.t_forward, None, self._advance_message,
-                      None, (st, producer_pe, msg, path, hop_index + 1, rec))
+            job = (self.timing.t_forward, None, self.sim.schedule,
+                   (self.timing.t_hop, self._after_wire, st, producer_pe,
+                    arrival, path, hop_index + 1, rec))
             if self._tr is not None:
                 job = self._traced_span_job(
                     self._tk_cu[target], f"fwd #{st.index}", job
@@ -893,8 +974,8 @@ class SnapSimulation:
         self,
         st: _InstrState,
         producer_pe: int,
-        msg: ActivationMessage,
-        path: List[int],
+        arrival: Arrival,
+        path: Tuple[int, ...],
         hop_index: int,
         rec: Dict[str, Any],
     ) -> None:
@@ -908,7 +989,7 @@ class SnapSimulation:
                 watchdog.cancel()
             rec["alive"] = False
             self.faults.stats.transfer_failures += 1
-            self._message_lost(st, producer_pe, msg, rec["src"])
+            self._message_lost(st, producer_pe, arrival, rec["src"])
             return
         self.faults.stats.transfer_retries += 1
         if self._tr is not None:
@@ -916,7 +997,7 @@ class SnapSimulation:
                 self._tk_faults, "transfer-retry",
                 self._off + self.sim.now,
                 attempt=rec["attempts"], src=rec["src"],
-                dest=msg.dest_cluster,
+                dest=arrival.cluster,
             )
         if rec["watchdog"] is None:
             # First corruption of this transfer arms the timeout
@@ -924,7 +1005,7 @@ class SnapSimulation:
             # every retry keeps getting corrupted.
             rec["watchdog"] = Timeout(
                 self.sim, policy.timeout_budget_us,
-                self._transfer_timed_out, st, producer_pe, msg, rec,
+                self._transfer_timed_out, st, producer_pe, arrival, rec,
             )
         backoff = policy.backoff(rec["attempts"] - 1)
         self.faults.stats.retry_time_us += backoff
@@ -935,14 +1016,14 @@ class SnapSimulation:
         self._attribute(Category.PROPAGATE, backoff + self.timing.t_hop)
         self.sim.schedule(
             backoff,
-            self._advance_message, st, producer_pe, msg, path, hop_index, rec,
+            self._advance_message, st, producer_pe, arrival, path, hop_index, rec,
         )
 
     def _transfer_timed_out(
         self,
         st: _InstrState,
         producer_pe: int,
-        msg: ActivationMessage,
+        arrival: Arrival,
         rec: Dict[str, Any],
     ) -> None:
         """Recovery budget exhausted: declare the transfer failed."""
@@ -953,15 +1034,15 @@ class SnapSimulation:
             self._tr.instant(
                 self._tk_faults, "transfer-timeout",
                 self._off + self.sim.now,
-                src=rec["src"], dest=msg.dest_cluster,
+                src=rec["src"], dest=arrival.cluster,
             )
-        self._message_lost(st, producer_pe, msg, rec["src"])
+        self._message_lost(st, producer_pe, arrival, rec["src"])
 
     def _message_lost(
         self,
         st: _InstrState,
         producer_pe: int,
-        msg: ActivationMessage,
+        arrival: Arrival,
         src: int,
     ) -> None:
         """Give up on a transfer; queue it for checkpoint replay.
@@ -973,15 +1054,15 @@ class SnapSimulation:
         if self._tr is not None:
             self._tr.instant(
                 self._tk_faults, "msg-lost", self._off + self.sim.now,
-                src=src, dest=msg.dest_cluster, instr=st.index,
+                src=src, dest=arrival.cluster, instr=st.index,
             )
-        st.lost.append((src, msg))
+        st.lost.append((src, arrival))
         self.syncer.consume(producer_pe, st.index)
         st.pending -= 1
         self._check_propagate_done(st)
 
     def _deliver_message(
-        self, st: _InstrState, producer_pe: int, msg: ActivationMessage
+        self, st: _InstrState, producer_pe: int, arrival: Arrival
     ) -> None:
         if self._drops_possible and self.faults.marker_dropped():
             # Gray failure: the marker vanishes at the destination NIC
@@ -995,7 +1076,7 @@ class SnapSimulation:
                 self._tr.instant(
                     self._tk_faults, "marker-dropped",
                     self._off + self.sim.now,
-                    instr=st.index, dest=msg.dest_cluster,
+                    instr=st.index, dest=arrival.cluster,
                 )
             self.syncer.consume(producer_pe, st.index)
             st.pending -= 1
@@ -1003,14 +1084,16 @@ class SnapSimulation:
             return
         if self._tr is not None:
             self._tr.instant(
-                self._tk_cluster[msg.dest_cluster], "msg-recv",
-                self._off + self.sim.now, instr=st.index, hops=msg.hops,
+                self._tk_cluster[arrival.cluster], "msg-recv",
+                self._off + self.sim.now, instr=st.index, hops=arrival.hops,
             )
-        arrival = self.state.message_to_arrival(msg)
-        self._spawn_arrival_job(st, arrival)
+        # The message's pending count passes to the arrival task it
+        # becomes, so the level cannot complete here.
+        cid = arrival.cluster
+        pe = self._pe_of_cluster[cid]
+        self.syncer.produce(pe, st.index)
+        self.clusters[cid].mus.submit(self._prepare_arrival(st, arrival, pe))
         self.syncer.consume(producer_pe, st.index)
-        st.pending -= 1
-        self._check_propagate_done(st)
 
     def _check_propagate_done(self, st: _InstrState) -> None:
         if st.completed or not st.scan_done or st.pending > 0:
@@ -1034,8 +1117,8 @@ class SnapSimulation:
                         instr=st.index, round=st.replay_rounds,
                         messages=len(lost),
                     )
-                for src, msg in lost:
-                    self._send_message(st, src, msg)
+                for src, arrival in lost:
+                    self._send_message(st, src, arrival)
                 if st.pending > 0:
                     return
                 # Every replayed message was unreachable; fall through.
@@ -1095,7 +1178,7 @@ class SnapSimulation:
         self.report.overheads.collection += service
         self._attribute(Category.COLLECT, service)
         st.collected.sort(key=lambda item: item[0])
-        job = Job(service, on_done=self._complete, args=(st,))
+        job = (service, None, self._complete, (st,))
         if self._tr is not None and st.span is not None:
             self._trace_phase(st, "gather")
             job = self._traced_span_job(
@@ -1137,8 +1220,9 @@ class SnapSimulation:
 
     # ------------------------------------------------------------------
     def _attribute(self, category: str, busy: float) -> None:
-        self.report.category_busy_us[category] = (
-            self.report.category_busy_us.get(category, 0.0) + busy
-        )
+        """Charge busy time to an instruction category.  The per-arrival
+        and per-message paths inline this on ``_category_busy``."""
+        busy_us = self._category_busy
+        busy_us[category] = busy_us.get(category, 0.0) + busy
 
 

@@ -39,39 +39,44 @@ class TieredSynchronizer:
         self.max_level_seen = -1
 
     # -- PE-side reporting ------------------------------------------------
-    def _check_pe(self, pe: int, level: int) -> None:
-        if not 0 <= pe < self.num_pes:
-            raise SyncError(
-                f"pe {pe} out of range [0, {self.num_pes}) at level {level}"
-            )
+    def _out_of_range(self, pe: int, level: int) -> SyncError:
+        return SyncError(
+            f"pe {pe} out of range [0, {self.num_pes}) at level {level}"
+        )
 
-    def _level(self, level: int) -> List[int]:
-        counters = self._counters.get(level)
-        if counters is None:
-            counters = self._counters[level] = [0] * self.num_pes
-            self._totals[level] = 0
+    def _new_level(self, level: int) -> List[int]:
+        counters = self._counters[level] = [0] * self.num_pes
+        self._totals[level] = 0
         return counters
 
     def produce(self, pe: int, level: int, count: int = 1) -> None:
         """PE reports ``count`` process creations at a level."""
-        self._check_pe(pe, level)
-        self._level(level)[pe] += count
+        if not 0 <= pe < self.num_pes:
+            raise self._out_of_range(pe, level)
+        counters = self._counters.get(level)
+        if counters is None:
+            counters = self._new_level(level)
+        counters[pe] += count
         self._totals[level] += count
         if level > self.max_level_seen:
             self.max_level_seen = level
 
     def consume(self, pe: int, level: int, count: int = 1) -> None:
         """PE reports ``count`` process terminations at a level."""
-        self._check_pe(pe, level)
-        counters = self._level(level)
+        if not 0 <= pe < self.num_pes:
+            raise self._out_of_range(pe, level)
+        counters = self._counters.get(level)
+        if counters is None:
+            counters = self._new_level(level)
         # Validate before mutating: a rejected over-consumption must
         # not leave the level balance negative.
-        if self._totals[level] < count:
+        totals = self._totals
+        if totals[level] < count:
             raise SyncError(
                 f"pe {pe}, level {level}: more terminations than creations"
             )
         counters[pe] -= count
-        self._totals[level] -= count
+        totals[level] -= count
 
     def set_idle(self, pe: int, idle: bool) -> None:
         """Drive one input of the AND-tree (GP I/O idle line)."""

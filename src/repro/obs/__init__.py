@@ -11,8 +11,9 @@ Instrumented layers (all default to the zero-overhead
 :data:`NULL_TRACER` — see ``docs/OBSERVABILITY.md`` for the overhead
 contract and the metric catalogue):
 
-* the DES kernel (:meth:`repro.machine.des.Simulator.run_traced`):
-  heap occupancy and pending-event sampling;
+* the DES kernel (the ``sample`` hook of
+  :meth:`repro.machine.des.Simulator.run`): heap occupancy and
+  pending-event sampling;
 * the machine simulator: per-instruction phase spans, per-cluster
   decode/MU/CU activity, ICN message traffic, fault injection and
   recovery events;

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.machine import (
-    Job,
     Server,
     ServerPool,
     SimulationError,
@@ -208,7 +207,7 @@ class TestElapsedBusyTime:
     def test_server_prorates_in_service_job(self):
         sim = Simulator()
         server = Server(sim)
-        server.submit(Job(10.0))
+        server.submit((10.0, None, None, ()))
         sim.run(until=4.0)
         # The accumulator accrues at job start; the elapsed view never
         # counts service that has not happened yet.
@@ -218,8 +217,8 @@ class TestElapsedBusyTime:
     def test_pool_prorates_only_unfinished_jobs(self):
         sim = Simulator()
         pool = ServerPool(sim, servers=2)
-        pool.submit(Job(2.0))
-        pool.submit(Job(10.0))
+        pool.submit((2.0, None, None, ()))
+        pool.submit((10.0, None, None, ()))
         sim.run(until=5.0)
         assert pool.busy_time_until(sim.now) == 2.0 + 5.0
         sim.run()
@@ -231,16 +230,16 @@ class TestServer:
         sim = Simulator()
         server = Server(sim)
         done = []
-        server.submit(Job(3.0, on_done=lambda: done.append(sim.now)))
-        server.submit(Job(2.0, on_done=lambda: done.append(sim.now)))
+        server.submit((3.0, None, lambda: done.append(sim.now), ()))
+        server.submit((2.0, None, lambda: done.append(sim.now), ()))
         sim.run()
         assert done == [3.0, 5.0]
 
     def test_busy_time_accumulates(self):
         sim = Simulator()
         server = Server(sim)
-        server.submit(Job(3.0))
-        server.submit(Job(2.0))
+        server.submit((3.0, None, None, ()))
+        server.submit((2.0, None, None, ()))
         sim.run()
         assert server.busy_time == 5.0
         assert server.jobs_done == 2
@@ -250,8 +249,8 @@ class TestServer:
         sim = Simulator()
         server = Server(sim)
         starts = []
-        server.submit(Job(3.0))
-        server.submit(Job(1.0, on_start=lambda: starts.append(sim.now)))
+        server.submit((3.0, None, None, ()))
+        server.submit((1.0, lambda: starts.append(sim.now), None, ()))
         sim.run()
         assert starts == [3.0]
 
@@ -259,7 +258,7 @@ class TestServer:
         sim = Simulator()
         server = Server(sim)
         for _ in range(3):
-            server.submit(Job(1.0))
+            server.submit((1.0, None, None, ()))
         assert server.max_queue >= 2
 
 
@@ -269,7 +268,7 @@ class TestServerPool:
         pool = ServerPool(sim, servers=2)
         done = []
         for _ in range(2):
-            pool.submit(Job(4.0, on_done=lambda: done.append(sim.now)))
+            pool.submit((4.0, None, lambda: done.append(sim.now), ()))
         sim.run()
         assert done == [4.0, 4.0]
 
@@ -278,9 +277,24 @@ class TestServerPool:
         pool = ServerPool(sim, servers=2)
         done = []
         for _ in range(4):
-            pool.submit(Job(1.0, on_done=lambda: done.append(sim.now)))
+            pool.submit((1.0, None, lambda: done.append(sim.now), ()))
         sim.run()
         assert done == [1.0, 1.0, 2.0, 2.0]
+
+    def test_submit_from_completion_waits_behind_queue(self):
+        # The finishing server is free while its callback runs, but a
+        # job submitted then must not overtake the jobs already waiting.
+        sim = Simulator()
+        pool = ServerPool(sim, servers=1)
+        starts = []
+
+        def job(name, on_done=None):
+            return (1.0, lambda: starts.append(name), on_done, ())
+
+        pool.submit(job("x", lambda: pool.submit(job("b"))))
+        pool.submit(job("a"))
+        sim.run()
+        assert starts == ["x", "a", "b"]
 
     def test_zero_servers_rejected(self):
         with pytest.raises(SimulationError):
@@ -290,7 +304,7 @@ class TestServerPool:
         sim = Simulator()
         pool = ServerPool(sim, servers=1)
         assert pool.idle
-        pool.submit(Job(1.0))
+        pool.submit((1.0, None, None, ()))
         assert not pool.idle
         sim.run()
         assert pool.idle
@@ -323,7 +337,7 @@ class TestPenaltyHook:
         server = Server(sim)
         server.penalty_hook = lambda job: 2.0
         done = []
-        server.submit(Job(3.0, on_done=lambda: done.append(sim.now)))
+        server.submit((3.0, None, lambda: done.append(sim.now), ()))
         sim.run()
         assert done == [5.0]
         assert server.busy_time == 5.0
@@ -332,7 +346,7 @@ class TestPenaltyHook:
         sim = Simulator()
         server = Server(sim)
         done = []
-        server.submit(Job(3.0, on_done=lambda: done.append(sim.now)))
+        server.submit((3.0, None, lambda: done.append(sim.now), ()))
         sim.run()
         assert done == [3.0]
         assert server.busy_time == 3.0
@@ -343,7 +357,7 @@ class TestPenaltyHook:
         pool.penalty_hook = lambda job: 1.0
         done = []
         for _ in range(2):
-            pool.submit(Job(1.0, on_done=lambda: done.append(sim.now)))
+            pool.submit((1.0, None, lambda: done.append(sim.now), ()))
         sim.run()
         assert done == [2.0, 2.0]
 
@@ -370,10 +384,10 @@ class TestStress:
                 done["count"] += 1
                 if depth > 0 and rng.random() < 0.5:
                     target = pool if rng.random() < 0.5 else server
-                    target.submit(Job(rng.uniform(0.1, 2.0),
-                                      on_done=make_job(depth - 1).on_done))
+                    target.submit((rng.uniform(0.1, 2.0), None,
+                                   make_job(depth - 1)[2], ()))
 
-            return Job(rng.uniform(0.1, 2.0), on_done=on_done)
+            return (rng.uniform(0.1, 2.0), None, on_done, ())
 
         submitted = 400
         for _ in range(submitted):
