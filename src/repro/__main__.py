@@ -8,8 +8,8 @@ Commands
 ``speech "SENTENCE"``
     Synthesize a noisy word lattice from the sentence and run the
     speech parser over it.
-``experiments [IDS...] [--full] [--list] [--backend B] [--out PATH]
-[--snapshot PATH] [--trace PATH]``
+``experiments [IDS...] [--full] [--list] [--out PATH] [--snapshot PATH]
+[--trace PATH]``
     Regenerate the paper's tables/figures and extension studies
     (including ``faultdeg``, the fault-injection degradation sweep,
     and ``overload``, the serving-under-overload sweep).  ``--trace``

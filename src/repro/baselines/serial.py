@@ -14,9 +14,8 @@ Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
-from ..core.backends import PropagationBackend
 from ..core.engine import ExecutionRecord, FunctionalEngine
 from ..core.state import MachineState
 from ..isa.instructions import Category
@@ -90,11 +89,9 @@ class SerialMachine:
         self,
         network: SemanticNetwork,
         timing: Optional[Timing] = None,
-        backend: Union[None, str, PropagationBackend] = None,
     ) -> None:
         self.timing = timing or Timing()
-        self.engine = FunctionalEngine(network, num_clusters=1,
-                                       backend=backend)
+        self.engine = FunctionalEngine(network, num_clusters=1)
 
     @property
     def state(self) -> MachineState:

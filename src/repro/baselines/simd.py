@@ -28,9 +28,8 @@ would execute marker propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
-from ..core.backends import PropagationBackend
 from ..core.state import MachineState
 from ..isa.instructions import Category, Instruction, Propagate
 from ..isa.program import SnapProgram
@@ -100,12 +99,10 @@ class SimdMachine:
         self,
         network: SemanticNetwork,
         timing: Optional[SimdTiming] = None,
-        backend: Union[None, str, PropagationBackend] = None,
     ) -> None:
         self.timing = timing or SimdTiming()
         # Single partition: the SIMD array is one flat address space.
-        self.engine = FunctionalEngine(network, num_clusters=1,
-                                       backend=backend)
+        self.engine = FunctionalEngine(network, num_clusters=1)
 
     @property
     def state(self) -> MachineState:
@@ -141,9 +138,8 @@ class SimdMachine:
         """Level-synchronous propagation: one controller round-trip per
         step, array work parallel within the step.
 
-        Execution goes through the engine's propagation backend, which
-        is wave-synchronous by construction; the FIFO golden model is
-        level-synchronous too, so ``max_hops`` is exactly the number of
+        Execution goes through the engine's FIFO golden model, which is
+        level-synchronous, so ``max_hops`` is exactly the number of
         controller-iterated steps the SIMD array would take."""
         record = self.engine.execute(instruction)
         steps = record.max_hops

@@ -36,16 +36,7 @@ from .state import (
     PropagationContext,
     WorkReport,
 )
-from .backends import (
-    BACKENDS,
-    PropagationBackend,
-    PropagationOutcome,
-    PythonBackend,
-    VectorizedBackend,
-    get_default_backend,
-    make_backend,
-    set_default_backend,
-)
+from .backends import PropagationOutcome, propagate
 from .engine import (
     ExecutionRecord,
     FunctionalEngine,
@@ -54,9 +45,7 @@ from .engine import (
 )
 
 __all__ = [
-    "BACKENDS", "PropagationBackend", "PropagationOutcome",
-    "PythonBackend", "VectorizedBackend", "get_default_backend",
-    "make_backend", "set_default_backend",
+    "PropagationOutcome", "propagate",
     "ClusterTables", "EMPTY_SLOT", "MACHINE_NODE_CAPACITY",
     "MarkerStatusTable", "NodeTable", "RelationEntry", "RelationTable",
     "TableError", "WORD_BITS", "build_tables",

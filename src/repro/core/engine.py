@@ -7,19 +7,14 @@ property-tested: both drive the same :class:`~repro.core.state.
 MachineState` primitives, so final marker state must agree bit-for-bit
 for any program and any cluster count.
 
-PROPAGATE — the dominant instruction — executes through a pluggable
-:class:`~repro.core.backends.PropagationBackend`: the exact-Python
-worklist (``"python"``, the golden model) or the wave-synchronous
-numpy implementation (``"vectorized"``), selected per engine or
-process-wide via :func:`~repro.core.backends.set_default_backend`.
-Both produce identical machine state and reports; the equivalence
-suite pins this.
+PROPAGATE — the dominant instruction — runs the golden FIFO worklist
+(:func:`~repro.core.backends.propagate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..isa.instructions import (
     AndMarker,
@@ -46,7 +41,7 @@ from ..isa.instructions import (
 )
 from ..isa.program import SnapProgram
 from ..network.graph import SemanticNetwork
-from .backends import PropagationBackend, make_backend
+from .backends import propagate
 from .state import ExecutionError, MachineState, WorkReport
 
 
@@ -156,22 +151,15 @@ class FunctionalEngine:
         num_clusters: int = 1,
         partition_policy: str = "round-robin",
         state: Optional[MachineState] = None,
-        backend: Union[None, str, PropagationBackend] = None,
     ) -> None:
         self.state = state or MachineState(
             network, num_clusters, partition_policy
         )
-        self.backend = make_backend(backend)
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters."""
         return self.state.num_clusters
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active propagation backend."""
-        return self.backend.name
 
     # ------------------------------------------------------------------
     def run(self, program: SnapProgram) -> RunResult:
@@ -207,7 +195,7 @@ class FunctionalEngine:
             # Full-tuple sort: ties on the leading global id (e.g.
             # COLLECT-RELATION listing several links of one node) must
             # not depend on cluster visit order, or results would vary
-            # across partition policies and backends.
+            # across partition policies.
             collected.sort()
             return ExecutionRecord(instruction, work, result=collected)
 
@@ -218,8 +206,8 @@ class FunctionalEngine:
 
     # ------------------------------------------------------------------
     def _propagate(self, instruction: Propagate) -> ExecutionRecord:
-        """Marker propagation, delegated to the active backend."""
-        outcome = self.backend.propagate(self.state, instruction)
+        """Marker propagation through the golden worklist."""
+        outcome = propagate(self.state, instruction)
         return ExecutionRecord(
             instruction,
             outcome.work,
@@ -235,10 +223,7 @@ def run_program(
     program: SnapProgram,
     num_clusters: int = 1,
     partition_policy: str = "round-robin",
-    backend: Union[None, str, PropagationBackend] = None,
 ) -> RunResult:
     """Convenience one-shot: build an engine and run a program."""
-    engine = FunctionalEngine(
-        network, num_clusters, partition_policy, backend=backend
-    )
+    engine = FunctionalEngine(network, num_clusters, partition_policy)
     return engine.run(program)

@@ -135,8 +135,8 @@ class Arrival:
 CompiledRule = Dict[int, Tuple[Tuple[int, int], ...]]
 
 #: Per-(node, rule-state) expansion budget — the safety valve against
-#: pathological negative-cost cycles.  Shared by every propagation
-#: backend so cap semantics cannot drift between them.
+#: pathological negative-cost cycles.  Shared by the functional engine
+#: and the timed machine so cap semantics cannot drift between them.
 MAX_EXPANSIONS = 64
 
 
@@ -219,9 +219,6 @@ class MachineState:
                 else MACHINE_NODE_CAPACITY
             ),
         )
-        #: Bumped whenever the link topology or node population
-        #: changes; backends key derived adjacency structures on it.
-        self.mutation_version = 0
         #: global node id -> (cluster, local id); maintained through
         #: runtime node creation.
         self.addr: Dict[int, Tuple[int, int]] = {}
@@ -300,7 +297,6 @@ class MachineState:
         cid = self._least_loaded_cluster()
         lid = self.clusters[cid].add_node(node.node_id, color)
         self.addr[node.node_id] = (cid, lid)
-        self.mutation_version += 1
         return node.node_id
 
     def garbage_collect(self) -> int:
@@ -371,7 +367,6 @@ class MachineState:
             src_l,
             RelationEntry(link.relation, dst_c, dst_l, dest_gid, weight),
         )
-        self.mutation_version += 1
         return WorkReport(links_made=1)
 
     def remove_link_runtime(
@@ -390,8 +385,6 @@ class MachineState:
         if removed and rid is not None:
             src_c, src_l = self.addr[source_gid]
             self.clusters[src_c].relations.remove(src_l, rid, dest_gid)
-        if removed:
-            self.mutation_version += 1
         return WorkReport(slots=1, links_made=1 if removed else 0)
 
     # ------------------------------------------------------------------

@@ -150,11 +150,7 @@ class MarkerStatusTable:
         """Local ids of nodes where the marker is set, ascending."""
         return self.nodes_with_array(marker).tolist()
 
-    # -- bulk operations (vectorized propagation backend) ---------------
-    def test_many(self, marker: int, locals_: np.ndarray) -> np.ndarray:
-        """Bit test for an array of local ids; returns a bool array."""
-        return bits_at(self._bits[marker], locals_)
-
+    # -- bulk operations -------------------------------------------------
     def set_many(self, marker: int, locals_: np.ndarray) -> None:
         """Set the marker at every listed local id (duplicates fine)."""
         words = locals_ // WORD_BITS
@@ -425,11 +421,6 @@ class RelationTable:
     def slots_used(self, local: int) -> int:
         """Relation slots occupied (static + overflow)."""
         return int(self._fill[local]) + len(self._overflow.get(local, ()))
-
-    @property
-    def has_overflow(self) -> bool:
-        """Whether any node spilled past the 16 static slots."""
-        return bool(self._overflow)
 
     def _walk(self, local: int) -> Iterator[Tuple[int, List[tuple]]]:
         """``(local id, slots)`` of each physical row of a node's logical

@@ -45,15 +45,8 @@ DEFAULT_ORDER = tuple(REGISTRY)
 def run_experiments(
     ids: Optional[Sequence[str]] = None,
     fast: bool = True,
-    backend: Optional[str] = None,
 ) -> List[ExperimentResult]:
-    """Run the selected experiments (all, in paper order, by default).
-
-    ``backend`` names the propagation backend every functional-engine
-    run uses; the previous process-wide default is restored afterwards.
-    """
-    from ..core.backends import get_default_backend, set_default_backend
-
+    """Run the selected experiments (all, in paper order, by default)."""
     selected = list(ids) if ids else list(DEFAULT_ORDER)
     for experiment_id in selected:
         if experiment_id not in REGISTRY:
@@ -61,13 +54,7 @@ def run_experiments(
                 f"unknown experiment {experiment_id!r}; "
                 f"available: {sorted(REGISTRY)}"
             )
-    previous = get_default_backend()
-    set_default_backend(backend or previous)
-    try:
-        return [REGISTRY[experiment_id](fast=fast)
-                for experiment_id in selected]
-    finally:
-        set_default_backend(previous)
+    return [REGISTRY[experiment_id](fast=fast) for experiment_id in selected]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -93,11 +80,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--list", action="store_true",
         help="list registered experiment ids and exit",
-    )
-    parser.add_argument(
-        "--backend", choices=["python", "vectorized"], default=None,
-        help="process-wide propagation backend for every "
-             "functional-engine run in the selected experiments",
     )
     parser.add_argument(
         "--trace", metavar="PATH",
@@ -134,8 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_tracer(tracer)
     try:
         results = run_experiments(
-            args.experiments or None, fast=not args.full,
-            backend=args.backend,
+            args.experiments or None, fast=not args.full
         )
     finally:
         if tracer is not None:

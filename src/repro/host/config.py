@@ -77,13 +77,6 @@ class HostConfig:
     mus_per_cluster: int = 2
     #: KB partition policy within each replica.
     partition_policy: str = "round-robin"
-    # -- fleet identity ---------------------------------------------------
-    #: Stable replica-group identifier when this host serves as one
-    #: shard group of a fleet (``None`` = standalone host; behaviour
-    #: is unchanged either way — identity is carried, not acted on).
-    group_id: Optional[str] = None
-    #: Failure domain (region) the group is deployed in.
-    region: Optional[int] = None
     # -- admission control ----------------------------------------------
     #: Bounded admission-queue depth; ``None`` = unbounded (no shedding).
     queue_capacity: Optional[int] = 64
@@ -216,8 +209,6 @@ class HostConfig:
             raise HostConfigError(
                 f"audit_interval must be >= 1: {self.audit_interval}"
             )
-        if self.region is not None and self.region < 0:
-            raise HostConfigError(f"region must be >= 0: {self.region}")
 
     # ------------------------------------------------------------------
     def faulty_replicas(self) -> FrozenSet[int]:

@@ -39,7 +39,7 @@ FIFO — so a serving run is bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from ..machine.config import Timing
 from ..machine.des import Simulator
@@ -252,32 +252,6 @@ class ServingHost:
         if self._observed or self._sink is not None:
             self._replay_lifecycle()
         return self._build_report()
-
-    def health_export(self) -> Dict[str, Any]:
-        """Health state of the group, shaped for fleet-level consumers.
-
-        Carries the configured fleet identity plus the per-replica
-        detector view (state, current phi, lifecycle counters).  With
-        the health lifecycle disabled, ``replicas`` is empty — callers
-        should treat the group as healthy-by-assumption, not healthy-
-        by-evidence.
-        """
-        return {
-            "group_id": self.config.group_id,
-            "region": self.config.region,
-            "health_enabled": bool(self._health),
-            "replicas": [
-                {
-                    "replica_id": rid,
-                    "state": health.state.value,
-                    "phi": round(health.detector.phi(), 4),
-                    "quarantines": health.quarantines,
-                    "readmissions": health.readmissions,
-                    "probes": health.probes,
-                }
-                for rid, health in enumerate(self._health)
-            ],
-        }
 
     # ------------------------------------------------------------------
     # Arrival and admission

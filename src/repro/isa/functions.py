@@ -38,9 +38,9 @@ class FunctionError(ValueError):
 def always_alive(value: float) -> bool:
     """Default liveness predicate: the marker never dies on a hop.
 
-    A module-level function (not a per-instance lambda) so backends can
-    recognise "no thresholding" by identity and skip the predicate
-    entirely on bulk paths.
+    A module-level function (not a per-instance lambda) so the
+    per-arrival expansion can recognise "no thresholding" by identity
+    and skip the predicate call.
     """
     return True
 
@@ -54,12 +54,6 @@ class HopFunction:
     #: Marker survives the hop only while this holds; used for cost
     #: thresholding during hypothesis evaluation.
     alive: Callable[[float], bool] = always_alive
-    #: Optional bulk forms over float64 numpy arrays, used by the
-    #: vectorized propagation backend: ``vapply(values, weights)``
-    #: and ``valive(values)``.  The scalar forms stay authoritative;
-    #: a bulk form must be bit-identical to mapping the scalar one.
-    vapply: Optional[Callable] = None
-    valive: Optional[Callable] = None
 
     def apply(self, value: float, weight: float) -> float:
         """Apply the per-hop update: f(value, link weight)."""
@@ -196,43 +190,25 @@ class FunctionRegistry:
         concept sequence" cut-off.
         """
         name = f"add-weight<{'=' if below else '>'}{limit}"
-        # The comparisons broadcast over numpy arrays unchanged, so the
-        # scalar predicate doubles as the bulk form.
         predicate = (
             (lambda value: value <= limit)
             if below
             else (lambda value: value >= limit)
         )
         return self.register_hop(
-            HopFunction(
-                name,
-                lambda v, w: v + w,
-                predicate,
-                vapply=lambda v, w: v + w,
-                valive=predicate,
-            )
+            HopFunction(name, lambda v, w: v + w, predicate)
         )
 
 
-#: Hop functions available to every program.  ``min``/``max`` bulk
-#: forms use explicit ``np.where`` comparisons so argument-order
-#: semantics (which operand wins a tie, e.g. signed zeros) match the
-#: Python builtins exactly.
+#: Hop functions available to every program.
 STANDARD_HOP_FUNCTIONS = (
-    HopFunction("identity", lambda v, w: v,
-                vapply=lambda v, w: v),
-    HopFunction("add-weight", lambda v, w: v + w,
-                vapply=lambda v, w: v + w),
-    HopFunction("sub-weight", lambda v, w: v - w,
-                vapply=lambda v, w: v - w),
-    HopFunction("mul-weight", lambda v, w: v * w,
-                vapply=lambda v, w: v * w),
-    HopFunction("min-weight", lambda v, w: min(v, w),
-                vapply=lambda v, w: np.where(w < v, w, v)),
-    HopFunction("max-weight", lambda v, w: max(v, w),
-                vapply=lambda v, w: np.where(w > v, w, v)),
-    HopFunction("count-hops", lambda v, w: v + 1.0,
-                vapply=lambda v, w: v + 1.0),
+    HopFunction("identity", lambda v, w: v),
+    HopFunction("add-weight", lambda v, w: v + w),
+    HopFunction("sub-weight", lambda v, w: v - w),
+    HopFunction("mul-weight", lambda v, w: v * w),
+    HopFunction("min-weight", lambda v, w: min(v, w)),
+    HopFunction("max-weight", lambda v, w: max(v, w)),
+    HopFunction("count-hops", lambda v, w: v + 1.0),
 )
 
 #: Token of the default hop function (identity).
@@ -245,8 +221,10 @@ def _broadcasting(name: str, fn: Callable) -> CombineFunction:
     return CombineFunction(name, fn, vcombine=fn)
 
 
-#: Combine functions.  ``min``/``max`` bulk forms follow the hop
-#: functions' ``np.where`` convention; the rest broadcast as written.
+#: Combine functions.  ``min``/``max`` bulk forms use explicit
+#: ``np.where`` comparisons so argument-order semantics (which operand
+#: wins a tie, e.g. signed zeros) match the Python builtins exactly;
+#: the rest broadcast as written.
 STANDARD_COMBINE_FUNCTIONS = (
     _broadcasting("first", lambda a, b: a),
     _broadcasting("second", lambda a, b: b),

@@ -11,7 +11,7 @@ inter-propagation (β) overlap structure the controller exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .instructions import (
     AndMarker,
@@ -81,29 +81,12 @@ class SnapProgram:
             counts[instr.category] = counts.get(instr.category, 0) + 1
         return counts
 
-    def markers_used(self) -> Set[int]:
-        """All marker ids the program touches."""
-        used: Set[int] = set()
-        for instr in self.instructions:
-            used.update(instr.reads())
-            used.update(instr.writes())
-        return used
-
     # -- dependency analysis ------------------------------------------------
     def depends(self, earlier: Instruction, later: Instruction) -> bool:
         """True if ``later`` must wait for ``earlier`` (RAW/WAW/WAR)."""
         ew, er = set(earlier.writes()), set(earlier.reads())
         lw, lr = set(later.writes()), set(later.reads())
         return bool(ew & (lr | lw)) or bool(er & lw)
-
-    def dependency_edges(self) -> List[Tuple[int, int]]:
-        """All (i, j) pairs with i < j and a marker dependency."""
-        edges = []
-        for j, later in enumerate(self.instructions):
-            for i in range(j):
-                if self.depends(self.instructions[i], later):
-                    edges.append((i, j))
-        return edges
 
     def beta_profile(self) -> List[int]:
         """Sizes of maximal runs of overlappable PROPAGATE instructions.
@@ -136,17 +119,6 @@ class SnapProgram:
                 close()
         close()
         return runs
-
-    def beta_stats(self) -> Dict[str, float]:
-        """min / max / mean β over the program's overlap runs."""
-        runs = self.beta_profile()
-        if not runs:
-            return {"min": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "min": float(min(runs)),
-            "max": float(max(runs)),
-            "mean": sum(runs) / len(runs),
-        }
 
 
 # ----------------------------------------------------------------------

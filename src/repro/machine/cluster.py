@@ -74,11 +74,6 @@ class ClusterSim:
         )
 
     @property
-    def queue_full(self) -> bool:
-        """PU circular instruction queue at capacity."""
-        return self.instructions_queued >= PU_QUEUE_CAPACITY
-
-    @property
     def idle(self) -> bool:
         """All functional units idle (the cluster's AND-tree inputs)."""
         return self.pu.idle and self.mus.idle and self.cu.idle

@@ -37,9 +37,7 @@ def _profile_experiments(args) -> int:
     profiler = SamplingProfiler(hz=args.hz)
     profiler.start()
     try:
-        run_experiments(
-            args.experiments, fast=not args.full, backend=args.backend
-        )
+        run_experiments(args.experiments, fast=not args.full)
     finally:
         profile = profiler.stop()
         if tracer is not None:
@@ -68,7 +66,6 @@ def _profile_experiments(args) -> int:
         record = profile.as_dict(top=args.top, join_rows=join_rows)
         record["experiments"] = list(args.experiments)
         record["full"] = args.full
-        record["backend"] = args.backend
         with open(args.json, "w") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -84,7 +81,6 @@ def _profile_experiments(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from ...core.backends import BACKENDS
     from ...experiments.runner import DEFAULT_ORDER
 
     parser = argparse.ArgumentParser(
@@ -101,8 +97,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    help=f"experiment ids to run (of {DEFAULT_ORDER})")
     p.add_argument("--full", action="store_true",
                    help="paper-scale knowledge bases (longer profile)")
-    p.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                   help="propagation backend for functional-engine runs")
     p.add_argument("--hz", type=float, default=DEFAULT_HZ,
                    help=f"sampling rate (default {DEFAULT_HZ:g})")
     p.add_argument("--top", type=int, default=15,

@@ -22,9 +22,8 @@ Three consumers of one sample table:
 * **Wall-vs-simulated join** (:func:`wall_simulated_join`): when a
   simulated-time trace was captured on the same run, attribute real
   seconds to pipeline phases by matching phase names against sampled
-  frames — e.g. how much wall the vectorized backend's remaining
-  scalar fallbacks cost inside a PROPAGATE that is "cheap" in
-  simulated time.
+  frames — e.g. how much wall the functional engine's worklist costs
+  inside a PROPAGATE that is "cheap" in simulated time.
 
 Sampling honesty: Python runs a signal handler between bytecodes, so
 a tick that lands inside a C call (a numpy kernel, say) is recorded
@@ -457,10 +456,9 @@ def wall_simulated_join(
     For each phase (by simulated duration, descending), wall time is
     the inclusive sample share of frames whose label contains the
     normalized phase token — e.g. phase ``PROPAGATE`` claims samples
-    inside ``repro.core.backends:propagate`` and the scalar-fallback
-    helpers under it.  Phases with no matching frames report zero
-    wall: simulated-expensive but wall-cheap (the vectorized-backend
-    success mode).  Per-instance names (``PROPAGATE #3``) merge into
+    inside ``repro.core.backends:propagate`` and the helpers under it.
+    Phases with no matching frames report zero wall:
+    simulated-expensive but wall-cheap.  Per-instance names (``PROPAGATE #3``) merge into
     one phase.  Deterministic given the profile and phase table.
     """
     merged: Dict[str, float] = {}

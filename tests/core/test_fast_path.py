@@ -167,9 +167,8 @@ class TestRegisterReset:
         assert table.value.tobytes() == fresh.value.tobytes()
         assert table.origin.tobytes() == fresh.origin.tobytes()
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_reset_markers_after_every_write_path(self, hub_kb, backend):
-        engine = FunctionalEngine(hub_kb, num_clusters=3, backend=backend)
+    def test_reset_markers_after_every_write_path(self, hub_kb):
+        engine = FunctionalEngine(hub_kb, num_clusters=3)
         for instruction in (
             SetMarker(M2, 3.0),                  # whole-marker fill
             ClearMarker(complex_marker(3)),      # whole-marker fill

@@ -102,9 +102,8 @@ class TestSearchRelationSkipsSubnodes:
 
     PROGRAM = [SearchRelation("has", B0), CollectNode(B0)]
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_functional_engine(self, backend):
-        engine = FunctionalEngine(_hub_kb(), num_clusters=2, backend=backend)
+    def test_functional_engine(self):
+        engine = FunctionalEngine(_hub_kb(), num_clusters=2)
         search = engine.execute(self.PROGRAM[0])
         collect = engine.execute(self.PROGRAM[1])
         assert collect.result == [(0, "hub")]

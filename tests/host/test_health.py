@@ -325,56 +325,6 @@ class TestServingHostIntegration:
             )
 
 
-class TestFleetIdentityAndExport:
-    def test_identity_defaults_off(self):
-        config = HostConfig()
-        assert config.group_id is None
-        assert config.region is None
-
-    def test_negative_region_rejected(self):
-        with pytest.raises(HostConfigError, match="region"):
-            HostConfig(region=-1)
-
-    def test_identity_does_not_change_serving(self, network):
-        plain = ServingHost(network, gray_config()).serve(
-            make_queries(20)
-        )
-        tagged_config = gray_config(group_id="shard-3", region=2)
-        tagged = ServingHost(network, tagged_config).serve(
-            make_queries(20)
-        )
-        assert plain.summary() == tagged.summary()
-
-    def test_health_export_carries_identity_and_state(self, network):
-        config = gray_config(group_id="shard-0", region=1)
-        host = ServingHost(network, config)
-        host.serve(make_queries(30))
-        export = host.health_export()
-        assert export["group_id"] == "shard-0"
-        assert export["region"] == 1
-        assert export["health_enabled"]
-        assert len(export["replicas"]) == config.num_replicas
-        by_id = {r["replica_id"]: r for r in export["replicas"]}
-        assert by_id[1]["quarantines"] >= 1
-        assert by_id[0]["quarantines"] == 0
-        for entry in export["replicas"]:
-            assert entry["state"] in (
-                "active", "quarantined", "probing"
-            )
-            assert entry["phi"] >= 0.0
-
-    def test_health_export_when_disabled(self, network):
-        config = gray_config(
-            health_enabled=False, audit_interval=None
-        )
-        host = ServingHost(network, config)
-        host.serve(make_queries(5))
-        export = host.health_export()
-        assert export["group_id"] is None
-        assert not export["health_enabled"]
-        assert export["replicas"] == []
-
-
 class TestHealthTransitionRecords:
     """The shared telemetry view of a health trail."""
 

@@ -159,24 +159,6 @@ class TestDependencies:
         ])
         assert program.beta_profile() == [1, 1]
 
-    def test_dependency_edges(self):
-        program = assemble(FIG5_SOURCE)
-        edges = program.dependency_edges()
-        # L6 (index 5) depends on both propagates (3, 4).
-        assert (3, 5) in edges and (4, 5) in edges
-        # L4 and L5 do not depend on each other.
-        assert (3, 4) not in edges
-
-    def test_beta_stats(self):
-        program = assemble(FIG5_SOURCE)
-        stats = program.beta_stats()
-        assert stats["max"] == 2.0
-        assert stats["min"] >= 1.0
-
-    def test_markers_used(self):
-        program = assemble(FIG5_SOURCE)
-        assert program.markers_used() == {1, 2, 3, 4, 5}
-
     def test_category_counts(self):
         program = assemble(FIG5_SOURCE)
         counts = program.category_counts()

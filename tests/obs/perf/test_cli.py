@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.backends import get_default_backend
 from repro.obs.perf.cli import main
 
 
@@ -13,15 +12,13 @@ class TestPerfProfile:
         folded = tmp_path / "fig21.folded"
         report = tmp_path / "fig21.md"
         record = tmp_path / "fig21.json"
-        before = get_default_backend()
         code = main([
-            "profile", "fig21", "--hz", "797", "--backend", "vectorized",
+            "profile", "fig21", "--hz", "797",
             "--folded-out", str(folded),
             "--report", str(report),
             "--json", str(record),
         ])
         assert code == 0
-        assert get_default_backend() == before
         # Folded stacks: every line is "frame;frame;... count".
         for line in folded.read_text().splitlines():
             stack, count = line.rsplit(" ", 1)
@@ -34,7 +31,6 @@ class TestPerfProfile:
         assert document["kind"] == "repro-perf-profile"
         assert document["experiments"] == ["fig21"]
         assert document["full"] is False
-        assert document["backend"] == "vectorized"
         printed = capsys.readouterr().out
         assert str(folded) in printed
 

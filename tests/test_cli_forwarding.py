@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from repro.__main__ import FORWARDED, main
-from repro.core.backends import get_default_backend
 from repro.experiments.runner import REGISTRY, main as runner_main
 from repro.obs.capture import WORKLOADS
 from repro.obs.live.cli import MONITOR_WORKLOADS
@@ -24,7 +23,7 @@ PAPER_ORDER = [
 ]
 
 EXPERIMENT_FLAGS = (
-    "--full", "--out", "--snapshot", "--list", "--backend", "--trace",
+    "--full", "--out", "--snapshot", "--list", "--trace",
 )
 
 
@@ -64,11 +63,6 @@ class TestForwarding:
     def test_perf_profile_choices_are_the_registry(self, capsys):
         offered = offered_choices(["perf", "profile", "bogus"], capsys)
         assert sorted(offered) == sorted(REGISTRY)
-
-    def test_experiments_backend_does_not_leak(self, capsys):
-        before = get_default_backend()
-        assert main(["experiments", "fig21", "--backend", "vectorized"]) == 0
-        assert get_default_backend() == before
 
     @pytest.mark.parametrize("command", sorted(FORWARDED))
     def test_help_exits_zero(self, command, capsys):
