@@ -5,7 +5,6 @@ from .profiles import (
     Profile,
     format_profile_table,
     profile_from_parse_results,
-    profile_from_report,
 )
 from .speedup import (
     SpeedupCurve,
@@ -16,9 +15,7 @@ from .speedup import (
 from .traffic import (
     TrafficSummary,
     format_traffic_series,
-    summarize_sync_stats,
     summarize_traffic,
-    traffic_histogram,
 )
 from .overhead import (
     COMPONENTS,
@@ -31,22 +28,13 @@ from .parallelism import (
     measure_beta,
     parallelism_stats,
 )
-from .timeline import (
-    cluster_activity,
-    instruction_gantt,
-    overlap_factor,
-    render_report_timeline,
-)
 
 __all__ = [
     "CATEGORY_ORDER", "Profile", "format_profile_table",
-    "profile_from_parse_results", "profile_from_report",
+    "profile_from_parse_results",
     "SpeedupCurve", "SweepPoint", "format_speedup_table", "knee",
-    "TrafficSummary", "format_traffic_series", "summarize_sync_stats",
-    "summarize_traffic", "traffic_histogram",
+    "TrafficSummary", "format_traffic_series", "summarize_traffic",
     "COMPONENTS", "OverheadSweep", "format_overhead_table",
     "ParallelismStats", "measure_alpha", "measure_beta",
     "parallelism_stats",
-    "cluster_activity", "instruction_gantt", "overlap_factor",
-    "render_report_timeline",
 ]

@@ -73,26 +73,6 @@ class Profile:
         return sum(self.time_us.values())
 
 
-def profile_from_report(report: Any) -> Profile:
-    """Build a profile from any run report exposing traces/busy time."""
-    profile = Profile()
-    counts: Dict[str, int] = {}
-    for trace in report.traces:
-        counts[trace.category] = counts.get(trace.category, 0) + 1
-    profile.add_counts(counts)
-    busy = getattr(report, "category_busy_us", None)
-    if busy:
-        profile.add_time(busy)
-    else:  # serial traces carry per-instruction time directly
-        time_us: Dict[str, float] = {}
-        for trace in report.traces:
-            time_us[trace.category] = (
-                time_us.get(trace.category, 0.0) + trace.time_us
-            )
-        profile.add_time(time_us)
-    return profile
-
-
 def profile_from_parse_results(results: Iterable[Any]) -> Profile:
     """Aggregate parser :class:`ParseResult` objects into one profile."""
     profile = Profile()

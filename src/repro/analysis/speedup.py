@@ -48,17 +48,6 @@ class SpeedupCurve:
             for p in sorted(self.points, key=lambda q: q.processors)
         ]
 
-    def speedup_at(self, processors: int) -> Optional[float]:
-        """Speedup at an exact processor count (None if absent)."""
-        for p, s in self.speedups():
-            if p == processors:
-                return s
-        return None
-
-    def max_speedup(self) -> float:
-        """Largest speedup across the curve."""
-        return max((s for _p, s in self.speedups()), default=0.0)
-
     def efficiency(self) -> List[Tuple[int, float]]:
         """(processors, speedup/processors) — parallel efficiency."""
         return [(p, s / p) for p, s in self.speedups() if p > 0]

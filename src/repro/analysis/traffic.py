@@ -10,9 +10,7 @@ a text histogram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
-from ..machine.sync import SyncStats
+from typing import List, Sequence
 
 
 @dataclass
@@ -42,23 +40,6 @@ def summarize_traffic(series: Sequence[int]) -> TrafficSummary:
         peak=max(series),
         bursts_over_30=sum(1 for m in series if m > 30),
     )
-
-
-def summarize_sync_stats(stats: SyncStats) -> TrafficSummary:
-    """Summarize a SyncStats object's message series."""
-    return summarize_traffic(stats.messages_per_sync())
-
-
-def traffic_histogram(
-    series: Sequence[int], bucket: int = 5
-) -> Dict[str, int]:
-    """Histogram of per-sync message counts in ``bucket``-wide bins."""
-    hist: Dict[str, int] = {}
-    for m in series:
-        low = (m // bucket) * bucket
-        key = f"{low}-{low + bucket - 1}"
-        hist[key] = hist.get(key, 0) + 1
-    return hist
 
 
 def format_traffic_series(

@@ -16,10 +16,8 @@ from .speech import (
     synthesize_lattice,
 )
 from .inheritance import (
-    InheritanceRun,
     inheritance_program,
     property_lookup_program,
-    run_inheritance,
 )
 from .classification import (
     ClassificationError,
@@ -39,10 +37,8 @@ __all__ = [
     "WordHypothesis",
     "WordLattice",
     "synthesize_lattice",
-    "InheritanceRun",
     "inheritance_program",
     "property_lookup_program",
-    "run_inheritance",
     "ClassificationError",
     "ClassificationResult",
     "classification_program",

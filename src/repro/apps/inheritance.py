@@ -11,8 +11,7 @@ which is what the CM-2's per-step controller round-trip multiplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..isa.instructions import (
     AndMarker,
@@ -81,36 +80,3 @@ def property_lookup_program(concept: str, prop: str) -> SnapProgram:
     program.append(AndMarker(M_PROP, M_HAS, M_HAS, "first"))
     program.append(CollectNode(M_HAS))
     return program
-
-
-@dataclass
-class InheritanceRun:
-    """Measurement of one root-to-leaf inheritance."""
-
-    kb_nodes: int
-    time_us: float
-    inherited: int
-    machine: str
-
-    @property
-    def time_s(self) -> float:
-        """Execution time in seconds."""
-        return self.time_us / 1e6
-
-
-def run_inheritance(machine: Any, kb_nodes: int, label: str) -> InheritanceRun:
-    """Execute the inheritance program and time it on ``machine``.
-
-    ``machine`` is any object with ``run(program) -> report``; the KB
-    must already be loaded (use :func:`repro.network.generator.
-    generate_hierarchy_kb`).
-    """
-    report = machine.run(inheritance_program())
-    results = report.results()
-    inherited = len(results[-1]) if results else 0
-    return InheritanceRun(
-        kb_nodes=kb_nodes,
-        time_us=report.total_time_us,
-        inherited=inherited,
-        machine=label,
-    )

@@ -17,8 +17,8 @@ from .kbgen import (
 )
 from .phrasal import Phrase, PhraseKind, PhrasalParser, PhrasalResult
 from .parser import MemoryBasedParser, ParseResult, ALL_PARSE_MARKERS
-from .extraction import EventTemplate, extract_template, extract_text
-from .corpus import MUC4_SENTENCES, NEWSWIRE_PASSAGE, sentences, sentence_ids
+from .extraction import EventTemplate, extract_template
+from .corpus import MUC4_SENTENCES, NEWSWIRE_PASSAGE, sentences
 
 __all__ = [
     "CORE_VOCABULARY", "LexEntry", "Lexicon", "POS", "tokenize",
@@ -26,6 +26,6 @@ __all__ = [
     "DOMAIN_SYNTAX", "DomainKB", "build_domain_kb",
     "Phrase", "PhraseKind", "PhrasalParser", "PhrasalResult",
     "MemoryBasedParser", "ParseResult", "ALL_PARSE_MARKERS",
-    "EventTemplate", "extract_template", "extract_text",
-    "MUC4_SENTENCES", "NEWSWIRE_PASSAGE", "sentences", "sentence_ids",
+    "EventTemplate", "extract_template",
+    "MUC4_SENTENCES", "NEWSWIRE_PASSAGE", "sentences",
 ]

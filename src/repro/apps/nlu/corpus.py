@@ -10,7 +10,7 @@ to the sentence length in words"* (§IV).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 #: Table III stand-ins: id -> sentence.  Lengths step roughly evenly
 #: so the length-vs-time proportionality is measurable.
@@ -31,16 +31,6 @@ MUC4_SENTENCES: Tuple[Tuple[str, str], ...] = (
 def sentences() -> List[str]:
     """The sentence texts, in Table III order."""
     return [text for _sid, text in MUC4_SENTENCES]
-
-
-def sentence_ids() -> List[str]:
-    """Sentence ids (S1..S4), in Table III order."""
-    return [sid for sid, _text in MUC4_SENTENCES]
-
-
-def by_id() -> Dict[str, str]:
-    """Mapping of sentence id to text."""
-    return dict(MUC4_SENTENCES)
 
 
 #: A longer newswire passage for bulk-text-understanding runs

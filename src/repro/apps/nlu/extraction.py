@@ -149,15 +149,3 @@ def extract_template(
             word for word in words if word_classes[word] & constraints
         ]
     return template
-
-
-def extract_text(
-    results: List[ParseResult], kb: DomainKB
-) -> List[EventTemplate]:
-    """Templates for a parsed passage (skipping failed parses)."""
-    templates = []
-    for result in results:
-        template = extract_template(result, kb)
-        if template is not None:
-            templates.append(template)
-    return templates

@@ -125,11 +125,6 @@ class WordLattice:
             return 0.0
         return sum(len(s) for s in self.slots) / len(self.slots)
 
-    def best_path(self) -> List[str]:
-        """The acoustically best word per slot."""
-        return [slot[0].word for slot in self.slots]
-
-
 def synthesize_lattice(
     sentence: str,
     confusability: float = 0.7,

@@ -75,12 +75,6 @@ class SerialRunReport:
             return {}
         return {c: b / total for c, b in self.category_busy_us.items()}
 
-    def category_frequency_share(self) -> Dict[str, float]:
-        """Fraction of instruction count per class (Fig. 6)."""
-        counts = self.category_counts()
-        total = sum(counts.values())
-        return {c: n / total for c, n in counts.items()}
-
 
 class SerialMachine:
     """One processor, whole knowledge base, exact semantics."""

@@ -87,10 +87,6 @@ class SimdRunReport:
         """Collected retrieval results, in program order."""
         return [t.result for t in self.traces if t.result is not None]
 
-    def total_steps(self) -> int:
-        """Total controller-iterated propagation steps."""
-        return sum(t.steps for t in self.traces)
-
 
 class SimdMachine:
     """Level-synchronous SIMD execution of SNAP programs."""

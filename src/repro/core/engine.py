@@ -90,13 +90,6 @@ class RunResult:
             counts[record.category] = counts.get(record.category, 0) + 1
         return counts
 
-    def total_work(self) -> WorkReport:
-        """Sum of all instructions' work counters."""
-        total = WorkReport()
-        for record in self.records:
-            total.merge(record.work)
-        return total
-
 
 # Instruction class -> (dispatch kind, unbound MachineState primitive).
 # Built once at import and shared by every executor: execute() here and

@@ -331,11 +331,6 @@ class MachineState:
             freed += 1
         return freed
 
-    @property
-    def free_node_slots(self) -> int:
-        """Reclaimed slots currently awaiting reuse."""
-        return len(self._free_nodes)
-
     def reset_markers(self) -> None:
         """Clear all marker state machine-wide (status bits + complex
         value/origin registers) without touching the knowledge base.

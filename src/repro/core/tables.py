@@ -134,11 +134,6 @@ class MarkerStatusTable:
         self._bits[m2, -1] &= self._tail_mask
         return self.num_words
 
-    def copy_row(self, src: int, dst: int) -> int:
-        """dst := src; returns words processed."""
-        self._bits[dst, :] = self._bits[src, :]
-        return self.num_words
-
     # -- queries -----------------------------------------------------------
     def count(self, marker: int) -> int:
         """Population count of a marker row."""
@@ -164,10 +159,6 @@ class MarkerStatusTable:
         return np.unpackbits(
             row.view(np.uint8), count=self.num_nodes, bitorder="little"
         ).nonzero()[0]
-
-    def nonzero_words(self, marker: int) -> int:
-        """How many status words are nonzero (MU scan shortcut)."""
-        return int(np.count_nonzero(self._bits[marker]))
 
     def any(self, marker: int) -> bool:
         """Whether the marker is set anywhere."""
@@ -417,10 +408,6 @@ class RelationTable:
                 self._fill[current] = fill - 1
                 return True
         return False
-
-    def slots_used(self, local: int) -> int:
-        """Relation slots occupied (static + overflow)."""
-        return int(self._fill[local]) + len(self._overflow.get(local, ()))
 
     def _walk(self, local: int) -> Iterator[Tuple[int, List[tuple]]]:
         """``(local id, slots)`` of each physical row of a node's logical

@@ -212,16 +212,6 @@ class ShardExecutor:
             results=report.results(),
         )
 
-    def base_service_us(self, query) -> float:
-        """Undegraded service time for a query leg (cached).
-
-        The health detector's service-ratio baseline and the router's
-        deadline estimates both key off this; it deliberately excludes
-        regional slowdown and failover penalties so a slowed region's
-        ratio rises above 1.0.
-        """
-        return self.execute(query, tracer=NULL_TRACER).service_us
-
     def reference_results(self, query) -> List[Any]:
         """Ground-truth answer of this shard for correctness checks.
 

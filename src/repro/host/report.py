@@ -158,12 +158,6 @@ class ServingReport:
         """Served-latency percentile, in µs."""
         return _percentile_sorted(self._sorted_served_latencies(), p)
 
-    @property
-    def mean_served_latency_us(self) -> float:
-        """Mean served latency, in µs."""
-        latencies = self._sorted_served_latencies()
-        return sum(latencies) / len(latencies) if latencies else 0.0
-
     def latency_summary(self) -> Dict[str, float]:
         """Mean/p50/p95/p99 served latency (µs) from one sorted pass."""
         ordered = self._sorted_served_latencies()

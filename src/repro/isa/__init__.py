@@ -76,7 +76,6 @@ from .program import (
     disassemble,
     marker_name,
 )
-from .allocator import AllocationError, MarkerAllocator
 
 __all__ = [
     # functions
@@ -100,6 +99,4 @@ __all__ = [
     # program
     "ProgramError", "SnapProgram", "assemble", "assemble_line",
     "disassemble", "marker_name",
-    # allocator
-    "AllocationError", "MarkerAllocator",
 ]

@@ -158,12 +158,6 @@ class FunctionRegistry:
         """Resolve a unary function by token or name."""
         return self._lookup(ref, self._unary, self._unary_by_name, "unary")
 
-    def hop_token(self, name: str) -> int:
-        """Token of a named hop function."""
-        if name not in self._hop_by_name:
-            raise FunctionError(f"unknown hop function: {name!r}")
-        return self._hop_by_name[name]
-
     def _lookup(self, ref, table: Dict, by_name: Dict, kind: str):
         if isinstance(ref, str):
             if ref not in by_name:

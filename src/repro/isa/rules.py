@@ -73,15 +73,6 @@ class PropagationRule:
         """Allowed (relation, next-state) moves from ``state``."""
         return tuple(self.table.get(state, ()))
 
-    def is_terminal(self, state: int) -> bool:
-        """True when no further traversal is possible from ``state``."""
-        return not self.table.get(state)
-
-    @property
-    def num_states(self) -> int:
-        """Number of states in the rule's transition table."""
-        return len(self.table)
-
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         args = ", ".join(self.relations)
         return f"{self.rule_type}({args})"

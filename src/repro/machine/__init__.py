@@ -41,13 +41,6 @@ from .faults import (
     failed_clusters_for,
 )
 from .icn import HypercubeTopology, IcnStats, TopologyError, link_key
-from .memory import (
-    BoundedQueue,
-    ClusterArbiter,
-    MemoryError_,
-    MultiportMemory,
-    SemaphoreTable,
-)
 from .sync import (
     SyncError,
     SyncPoint,
@@ -57,6 +50,7 @@ from .sync import (
 )
 from .cluster import (
     ACTIVATION_QUEUE_CAPACITY,
+    BoundedQueue,
     ClusterSim,
     build_clusters,
     pe_index_of_cluster,
@@ -77,11 +71,9 @@ __all__ = [
     "RegionEvent", "RegionSchedule",
     "RetryPolicy", "failed_clusters_for",
     "HypercubeTopology", "IcnStats", "TopologyError", "link_key",
-    "BoundedQueue", "ClusterArbiter", "MemoryError_", "MultiportMemory",
-    "SemaphoreTable",
     "SyncError", "SyncPoint", "SyncStats", "TieredSynchronizer",
     "barrier_cost",
-    "ACTIVATION_QUEUE_CAPACITY", "ClusterSim", "build_clusters",
+    "ACTIVATION_QUEUE_CAPACITY", "BoundedQueue", "ClusterSim", "build_clusters",
     "pe_index_of_cluster", "work_service_time",
     "InstructionTrace", "MachineRunReport", "OverheadBreakdown",
     "SnapSimulation", "SnapMachine",

@@ -15,13 +15,13 @@ capacity-accounted queue so burst pressure (Fig. 8) is observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, List, Optional
 
 from ..core.state import WorkReport
 from .config import MachineConfig, Timing
 from .des import Server, ServerPool, Simulator
-from .memory import BoundedQueue
 
 
 def work_service_time(work: WorkReport, timing: Timing) -> float:
@@ -47,6 +47,48 @@ ACTIVATION_QUEUE_CAPACITY = 256
 PU_QUEUE_CAPACITY = 64
 
 
+@dataclass
+class BoundedQueue:
+    """Capacity-accounted FIFO for the marker activation memory.
+
+    A single-writer/single-reader queue area (paper §III-A, type-3
+    traffic) needs no arbiter.  The DES records its overflow pressure:
+    the Fig. 8 burst-absorption requirement says that when a burst
+    exceeds buffering, *"the sending processor will be blocked"*.
+    Arbitration of the shared marker memory (type-1 traffic) is not
+    modelled per access; its cost is folded into
+    ``Timing.t_task_overhead``.
+    """
+
+    capacity: int
+    _items: Deque = field(default_factory=deque)
+    peak: int = 0
+    overflows: int = 0
+
+    def push(self, item) -> bool:
+        """Enqueue; returns False (and counts an overflow) when the
+        occupancy exceeds capacity.
+
+        Capacity is *soft*: the item is still queued — on the hardware
+        the sending MU would block until space frees (§II-C), and the
+        simulator surfaces that pressure through the overflow count
+        rather than by dropping markers.
+        """
+        over = len(self._items) >= self.capacity
+        if over:
+            self.overflows += 1
+        self._items.append(item)
+        self.peak = max(self.peak, len(self._items))
+        return not over
+
+    def pop(self):
+        """Dequeue the oldest item; raises IndexError when empty."""
+        return self._items.popleft()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
 class ClusterSim:
     """Simulation-side state of one cluster."""
 
@@ -69,9 +111,7 @@ class ClusterSim:
         #: Broadcast instructions awaiting/undergoing PU decode.
         self.instructions_queued = 0
         #: Marker activation memory occupancy (outbound + forwarded).
-        self.activation_queue = BoundedQueue(
-            ACTIVATION_QUEUE_CAPACITY, name=f"actmem{cluster_id}"
-        )
+        self.activation_queue = BoundedQueue(ACTIVATION_QUEUE_CAPACITY)
 
     @property
     def idle(self) -> bool:

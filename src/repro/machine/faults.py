@@ -782,11 +782,6 @@ class FaultInjector:
         self.slowdown_possible = config.mu_slowdown_factor > 1.0 or any(
             e.kind == "mu-slowdown" and e.value > 1.0 for e in events
         )
-        if topology is not None:
-            # Defense in depth for shared route caches: a *different*
-            # fault pattern than the last one routed through this
-            # topology drops every memoized path.
-            topology.note_fault_state(self.failed_clusters, self.dead_links)
 
     # -- observability ----------------------------------------------------
     def emit_injection_events(self, tracer, track: int, ts: float = 0.0) -> None:
@@ -866,8 +861,8 @@ class FaultInjector:
         :func:`failed_clusters_for`.
 
         Returns ``True`` when the routing-visible state (offline
-        clusters or dead links) changed, so the caller can refresh
-        route caches and dispatch sets.
+        clusters or dead links) changed, so the caller can switch
+        route tables and refresh dispatch sets.
         """
         self.stats.timeline_events += 1
         kind = event.kind

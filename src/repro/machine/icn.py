@@ -14,7 +14,7 @@ The topology generalizes to any cluster count by using
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -24,15 +24,6 @@ DIMENSION_NAMES = ("L", "X", "Y")
 
 #: Radix of each address digit.
 RADIX = 4
-
-#: Bounded LRU capacity shared by the route, fault-aware-route, and
-#: path-dimension caches.  Covers every (src, dst) pair up to 64
-#: clusters; larger sweeps evict least-recently-used entries.
-ROUTE_CACHE_SIZE = 4096
-
-#: Cache sentinel: this (src, dst, order) combination raises
-#: :class:`TopologyError` (non-convergent digit order).
-_RAISES = object()
 
 
 class TopologyError(ValueError):
@@ -47,15 +38,11 @@ def link_key(a: int, b: int) -> Tuple[int, int]:
 class HypercubeTopology:
     """Base-4 digit addressing and dimension-ordered routing.
 
-    Hot-path design (see ``docs/PERF.md``): address digits are a table
-    precomputed at construction, and the three routing entry points —
-    :meth:`route`, :meth:`route_avoiding`, :meth:`path_dimensions` —
-    are memoized in bounded LRU caches.  Routing is a pure function of
-    ``(src, dst, order)`` (plus the blocked sets, which are part of
-    the fault-aware key), so cached paths are always identical to
-    recomputed ones; :meth:`note_fault_state` additionally invalidates
-    every cache when a topology shared across simulations observes a
-    *different* fault pattern than the one it last routed around.
+    Address digits and neighbor lists are tables built once per
+    topology.  Routes are not memoized here: routing is a pure
+    function of ``(src, dst)`` and the fault state, and a machine
+    routes each pair once per fault state into its transport table
+    (see ``docs/PERF.md``).
     """
 
     def __init__(self, num_clusters: int) -> None:
@@ -77,14 +64,6 @@ class HypercubeTopology:
         #: Precomputed base-4 digits for every cluster id.
         self._digit_table: Tuple[Tuple[int, ...], ...] = tuple(table)
         self._neighbor_table: List[Optional[List[int]]] = [None] * num_clusters
-        # Bounded LRU route caches (tuples stored; lists returned).
-        self._route_cache: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._avoid_cache: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._dims_cache: "OrderedDict[Tuple, Tuple[str, ...]]" = OrderedDict()
-        #: Last fault pattern seen by :meth:`note_fault_state`.
-        self._fault_state: Tuple[FrozenSet[int], FrozenSet[Tuple[int, int]]] = (
-            frozenset(), frozenset()
-        )
 
     def digits(self, cluster: int) -> Tuple[int, ...]:
         """Base-4 address digits, least significant (L) first."""
@@ -96,11 +75,6 @@ class HypercubeTopology:
             raise TopologyError(
                 f"cluster {cluster} outside [0, {self.num_clusters})"
             )
-
-    def hamming(self, src: int, dst: int) -> int:
-        """Differing address digits (hop count on a full machine)."""
-        a, b = self.digits(src), self.digits(dst)
-        return sum(1 for x, y in zip(a, b) if x != y)
 
     def distance(self, src: int, dst: int) -> int:
         """Actual hop count of the routed path."""
@@ -128,36 +102,9 @@ class HypercubeTopology:
         4) a correction whose intermediate cluster does not exist is
         skipped in favor of another digit; zeroing a digit is always a
         valid fallback since it strictly decreases the cluster id.
-
-        Memoized: results (including non-convergent orders, which
-        raise) are served from a bounded LRU keyed on
-        ``(src, dst, order)``.
         """
         self._check(src)
         self._check(dst)
-        key = (src, dst) if order is None else (src, dst, tuple(order))
-        cache = self._route_cache
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            if hit is _RAISES:
-                raise TopologyError(f"routing {src}->{dst} failed to converge")
-            return list(hit)
-        try:
-            path = self._route_uncached(src, dst, order)
-        except TopologyError:
-            cache[key] = _RAISES
-            if len(cache) > ROUTE_CACHE_SIZE:
-                cache.popitem(last=False)
-            raise
-        cache[key] = tuple(path)
-        if len(cache) > ROUTE_CACHE_SIZE:
-            cache.popitem(last=False)
-        return path
-
-    def _route_uncached(
-        self, src: int, dst: int, order: Optional[Sequence[int]] = None
-    ) -> List[int]:
         dims: Sequence[int] = (
             range(self.num_digits) if order is None else order
         )
@@ -230,36 +177,9 @@ class HypercubeTopology:
         unreachable — the caller must treat the message as lost.
         Deterministic: digit orders are tried in lexicographic order
         and the BFS expands neighbors in sorted order.
-
-        Memoized: results (including ``None`` for unreachable pairs)
-        are served from a bounded LRU keyed on ``(src, dst,
-        blocked_clusters, blocked_links)`` — the blocked sets are part
-        of the key, so a stale entry for an outdated fault pattern can
-        never be returned.
         """
         self._check(src)
         self._check(dst)
-        key = (src, dst, blocked_clusters, blocked_links)
-        cache = self._avoid_cache
-        hit = cache.get(key, _RAISES)
-        if hit is not _RAISES:
-            cache.move_to_end(key)
-            return None if hit is None else list(hit)
-        path = self._route_avoiding_uncached(
-            src, dst, blocked_clusters, blocked_links
-        )
-        cache[key] = None if path is None else tuple(path)
-        if len(cache) > ROUTE_CACHE_SIZE:
-            cache.popitem(last=False)
-        return path
-
-    def _route_avoiding_uncached(
-        self,
-        src: int,
-        dst: int,
-        blocked_clusters: FrozenSet[int],
-        blocked_links: FrozenSet[Tuple[int, int]],
-    ) -> Optional[List[int]]:
         if src == dst:
             return []
         if src in blocked_clusters or dst in blocked_clusters:
@@ -338,54 +258,14 @@ class HypercubeTopology:
         """Dimension names (L/X/Y/...) of every hop along ``path``.
 
         Equivalent to calling :meth:`dimension_of_hop` on each
-        consecutive pair starting at ``src``, memoized per (src, path)
-        so a cached route's per-hop traffic accounting costs one
-        lookup per message instead of two digit decompositions per hop.
+        consecutive pair starting at ``src``.
         """
-        key = (src, tuple(path))
-        cache = self._dims_cache
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
         names = []
         previous = src
         for hop in path:
             names.append(self.dimension_of_hop(previous, hop))
             previous = hop
-        result = tuple(names)
-        cache[key] = result
-        if len(cache) > ROUTE_CACHE_SIZE:
-            cache.popitem(last=False)
-        return result
-
-    def invalidate_routes(self) -> None:
-        """Drop every memoized route/dimension entry."""
-        self._route_cache.clear()
-        self._avoid_cache.clear()
-        self._dims_cache.clear()
-
-    def note_fault_state(
-        self,
-        blocked_clusters: FrozenSet[int],
-        blocked_links: FrozenSet[Tuple[int, int]],
-    ) -> None:
-        """Record the fault pattern now routing through this topology.
-
-        A topology shared across simulations (one per
-        :class:`~repro.machine.machine.SnapMachine`) drops its caches
-        whenever the observed fault state *changes*.  Cache keys
-        already carry the blocked sets, so this is defense in depth —
-        it also bounds cache occupancy when fault patterns churn.
-        """
-        state = (blocked_clusters, blocked_links)
-        if state != self._fault_state:
-            self._fault_state = state
-            self.invalidate_routes()
-
-    def max_distance(self) -> int:
-        """Network diameter in hops."""
-        return self.num_digits
+        return tuple(names)
 
 
 @dataclass
@@ -398,35 +278,20 @@ class IcnStats:
     dimension_counts: Dict[str, int] = field(default_factory=dict)
     total_latency: float = 0.0
 
-    def record(self, hops: int, latency: float) -> None:
-        """Account one routed message (hops + latency).
+    def record_message(
+        self, dimensions: Sequence[str], latency: float
+    ) -> None:
+        """Account one routed message.
 
-        Low-level entry point: the caller is responsible for also
-        recording exactly ``hops`` dimension entries, or the
-        hop/dimension invariant enforced by :meth:`to_json` breaks.
-        Prefer :meth:`record_message`, which cannot get out of sync.
+        ``dimensions`` names the memory of every hop of the *actual*
+        path, so per-message hop totals and per-dimension counts are
+        updated from the same source and can never disagree.
         """
+        hops = len(dimensions)
         self.messages += 1
         self.total_hops += hops
         self.hop_histogram[hops] = self.hop_histogram.get(hops, 0) + 1
         self.total_latency += latency
-
-    def record_dimension(self, name: str) -> None:
-        """Count one hop through the named L/X/Y memory."""
-        self.dimension_counts[name] = self.dimension_counts.get(name, 0) + 1
-
-    def record_message(
-        self, dimensions: Sequence[str], latency: float
-    ) -> None:
-        """Account one routed message atomically.
-
-        ``dimensions`` names the memory of every hop of the *actual*
-        path, so per-message hop totals and per-dimension counts are
-        updated from the same source and can never disagree — the
-        reconciliation of the historical split where ``record`` was
-        called per message but ``record_dimension`` per hop.
-        """
-        self.record(len(dimensions), latency)
         counts = self.dimension_counts
         for name in dimensions:
             counts[name] = counts.get(name, 0) + 1

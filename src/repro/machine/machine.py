@@ -126,12 +126,6 @@ class SnapMachine:
         """Wipe all marker state (host hand-over between queries)."""
         self.state.reset_markers()
 
-    def run_and_collect(
-        self, program: Union[SnapProgram, Iterable[Instruction]]
-    ) -> List:
-        """Run and return just the retrieval results, in program order."""
-        return self.run(program).results()
-
     # -- inspection ------------------------------------------------------
     @property
     def num_nodes(self) -> int:
@@ -152,11 +146,3 @@ class SnapMachine:
         """Global ids of nodes where ``marker`` is currently set."""
         return self.state.marker_set_nodes(marker)
 
-    def housekeep(self) -> int:
-        """Controller housekeeping between programs (§III-C).
-
-        *"When the pipeline is empty, housekeeping is performed
-        including node management and garbage collection."*  Returns
-        the number of result-node slots reclaimed.
-        """
-        return self.state.garbage_collect()

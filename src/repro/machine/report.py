@@ -153,20 +153,6 @@ class MachineRunReport:
         """Longest marker path in hops (§IV: 10–15 steps typical)."""
         return max((t.max_hops for t in self.traces), default=0)
 
-    def alpha_stats(self) -> Dict[str, float]:
-        """Source-activation (α) statistics over PROPAGATE instructions."""
-        alphas = [
-            t.alpha for t in self.traces
-            if t.category == Category.PROPAGATE
-        ]
-        if not alphas:
-            return {"min": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "min": float(min(alphas)),
-            "max": float(max(alphas)),
-            "mean": sum(alphas) / len(alphas),
-        }
-
     def mu_utilization(self) -> float:
         """Aggregate MU busy fraction over the run."""
         if self.total_time_us <= 0 or not self.cluster_busy:

@@ -122,7 +122,7 @@ class SnapSimulation:
         self.timing = config.timing
         self.sim = Simulator()
         # A topology may be shared across runs (SnapMachine passes one
-        # per machine) so its route caches survive between programs;
+        # per machine) so its digit and neighbor tables are built once;
         # routing is stateless, so sharing cannot change any path.
         if topology is not None and topology.num_clusters != config.num_clusters:
             raise ValueError("shared topology disagrees on cluster count")
@@ -398,7 +398,6 @@ class SnapSimulation:
             self.alive_clusters = [
                 c for c in self.clusters if not c.failed
             ]
-            self.topology.note_fault_state(blocked, faults.blocked_links)
             self._transport = self._route_table()
         if event.kind in ("mu-fail", "mu-repair"):
             cid = event.cluster

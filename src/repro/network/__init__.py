@@ -19,7 +19,6 @@ from .graph import GraphError, NodeRef, SemanticNetwork
 from .builder import (
     CONT_RELATION,
     KnowledgeBaseBuilder,
-    logical_fanout,
     preprocess_fanout,
 )
 from .partition import (
@@ -51,7 +50,6 @@ from .generator import (
     HIERARCHY_ROOT,
     generate_hierarchy_kb,
     generate_kb,
-    kb_size_sweep,
 )
 from .io import (
     FormatError,
@@ -60,7 +58,6 @@ from .io import (
     save_network,
     saves,
 )
-from .nx import from_networkx, kb_graph_metrics, to_networkx
 
 __all__ = [
     "Color",
@@ -78,7 +75,6 @@ __all__ = [
     "SemanticNetwork",
     "CONT_RELATION",
     "KnowledgeBaseBuilder",
-    "logical_fanout",
     "preprocess_fanout",
     "MAX_NODES_PER_CLUSTER",
     "PARTITIONERS",
@@ -104,13 +100,9 @@ __all__ = [
     "HIERARCHY_ROOT",
     "generate_hierarchy_kb",
     "generate_kb",
-    "kb_size_sweep",
     "FormatError",
     "load_network",
     "loads",
     "save_network",
     "saves",
-    "from_networkx",
-    "kb_graph_metrics",
-    "to_networkx",
 ]

@@ -109,17 +109,6 @@ def continuation_chain(physical: SemanticNetwork, node_ref) -> List[int]:
     return chain
 
 
-def logical_fanout(physical: SemanticNetwork, node_ref) -> int:
-    """Fanout of a node counting through its continuation chain."""
-    cont_id = physical.relations.get(CONT_RELATION)
-    return sum(
-        1
-        for nid in continuation_chain(physical, node_ref)
-        for link in physical.outgoing(nid)
-        if link.relation != cont_id
-    )
-
-
 class KnowledgeBaseBuilder:
     """Fluent helper for authoring layered linguistic knowledge bases.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .builder import KnowledgeBaseBuilder, preprocess_fanout
 from .graph import SemanticNetwork
@@ -227,30 +227,3 @@ def generate_hierarchy_kb(
         builder.add_property(HIERARCHY_ROOT, f"attr{p}")
     network.validate()
     return network
-
-
-def kb_size_sweep(
-    sizes: Sequence[int], base_spec: Optional[GeneratorSpec] = None
-) -> List[SemanticNetwork]:
-    """Generate a family of KBs of increasing size with identical mix.
-
-    Used by the KB-size sweeps of Figs. 15, 19, and 20.
-    """
-    base_spec = base_spec or GeneratorSpec()
-    networks = []
-    for size in sizes:
-        spec = GeneratorSpec(
-            total_nodes=size,
-            lexical_fraction=base_spec.lexical_fraction,
-            cs_fraction=base_spec.cs_fraction,
-            hierarchy_fraction=base_spec.hierarchy_fraction,
-            syntax_fraction=base_spec.syntax_fraction,
-            aux_fraction=base_spec.aux_fraction,
-            hierarchy_branching=base_spec.hierarchy_branching,
-            cs_elements=base_spec.cs_elements,
-            constraints_per_element=base_spec.constraints_per_element,
-            classes_per_word=base_spec.classes_per_word,
-            seed=base_spec.seed,
-        )
-        networks.append(generate_kb(spec))
-    return networks

@@ -193,10 +193,6 @@ class SemanticNetwork:
         """Number of incoming links."""
         return self._in_degree[self.resolve(node)]
 
-    def nodes_with_color(self, color: int) -> List[Node]:
-        """All nodes of a given color (SEARCH-COLOR support)."""
-        return [n for n in self._nodes if n.color == color]
-
     def links(self) -> Iterator[Link]:
         """Iterate every link in the network."""
         for out in self._out:
@@ -236,10 +232,3 @@ class SemanticNetwork:
             "relation_types": len(self.relations),
             "colors": len(colors),
         }
-
-    def color_histogram(self) -> Dict[int, int]:
-        """Node counts per color."""
-        hist: Dict[int, int] = {}
-        for n in self._nodes:
-            hist[n.color] = hist.get(n.color, 0) + 1
-        return hist

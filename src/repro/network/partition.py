@@ -60,10 +60,6 @@ class Partitioning:
         """Cluster holding ``node_id``."""
         return self._cluster_of[node_id]
 
-    def local_id(self, node_id: int) -> int:
-        """Local index of ``node_id`` within its cluster."""
-        return self._local_of[node_id]
-
     def address_of(self, node_id: int) -> Tuple[int, int]:
         """(cluster, local id) — the relation-table destination fields."""
         return self._cluster_of[node_id], self._local_of[node_id]
@@ -79,12 +75,6 @@ class Partitioning:
     def sizes(self) -> List[int]:
         """Node count per cluster."""
         return [len(m) for m in self._members]
-
-    def imbalance(self) -> float:
-        """max/mean cluster occupancy (1.0 = perfectly balanced)."""
-        sizes = self.sizes()
-        mean = sum(sizes) / len(sizes)
-        return (max(sizes) / mean) if mean else 1.0
 
     def cut_links(self, network: SemanticNetwork) -> int:
         """Number of links crossing cluster boundaries.

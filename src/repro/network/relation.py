@@ -88,13 +88,6 @@ class RelationRegistry:
         self._id_to_name[rid] = name
         return rid
 
-    def id_of(self, name: str) -> int:
-        """Return the type id for ``name``; raise if unregistered."""
-        try:
-            return self._name_to_id[name]
-        except KeyError:
-            raise RelationError(f"unknown relation type: {name!r}") from None
-
     def name_of(self, rid: int) -> str:
         """Return the name for type id ``rid``; raise if unregistered."""
         try:
@@ -126,7 +119,3 @@ class RelationRegistry:
         if name.startswith("inverse:"):
             return name[len("inverse:"):]
         return f"inverse:{name}"
-
-    def register_inverse(self, name: str) -> int:
-        """Register and return the id of ``name``'s inverse relation."""
-        return self.register(self.inverse_name(name))

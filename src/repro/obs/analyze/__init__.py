@@ -47,13 +47,10 @@ from .reader import (
     TraceModel,
     from_tracer,
     read_document,
-    read_file,
 )
 from .report import (
     TraceAnalysis,
     analyze_document,
-    analyze_file,
-    analyze_tracer,
     main,
 )
 
@@ -74,8 +71,6 @@ __all__ = [
     "TrackUtilization",
     "aggregate_buckets",
     "analyze_document",
-    "analyze_file",
-    "analyze_tracer",
     "attribute_queries",
     "compare_snapshots",
     "critical_path",
@@ -91,7 +86,6 @@ __all__ = [
     "overlap_profile",
     "path_duration_us",
     "read_document",
-    "read_file",
     "snapshot_from_metrics",
     "summarize_path",
     "track_utilization",

@@ -26,7 +26,6 @@ per-event messages, not a reader crash.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -63,11 +62,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def self_time_us(self) -> float:
-        """Duration not covered by any child (children never overlap
-        on one track, so a plain sum is exact)."""
-        return self.duration_us - sum(c.duration_us for c in self.children)
 
 
 @dataclass
@@ -149,10 +143,6 @@ class TraceModel:
     def end_us(self) -> float:
         """Latest timestamp anywhere in the capture."""
         return max((t.extent_us[1] for t in self.tracks), default=0.0)
-
-    @property
-    def num_spans(self) -> int:
-        return sum(1 for t in self.tracks for _ in t.all_spans())
 
 
 # ----------------------------------------------------------------------
@@ -253,12 +243,6 @@ def _build_forest(spans: List[Span]) -> List[Span]:
             roots.append(span)
         stack.append(span)
     return roots
-
-
-def read_file(path: str) -> TraceModel:
-    """Load and model a trace JSON file."""
-    with open(path) as handle:
-        return read_document(json.load(handle))
 
 
 def from_tracer(tracer, metrics=None) -> TraceModel:

@@ -252,19 +252,6 @@ def analyze_document(document: Any) -> TraceAnalysis:
     return analysis
 
 
-def analyze_file(path: str) -> TraceAnalysis:
-    """Load a trace JSON file and analyze it."""
-    with open(path) as handle:
-        return analyze_document(json.load(handle))
-
-
-def analyze_tracer(tracer, metrics=None) -> TraceAnalysis:
-    """Analyze a live :class:`repro.obs.tracer.Tracer` capture."""
-    from .reader import from_tracer
-
-    return analyze_document(from_tracer(tracer, metrics=metrics))
-
-
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: ``python -m repro analyze TRACE [options]``.

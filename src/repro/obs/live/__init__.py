@@ -45,7 +45,6 @@ from .windows import (
     WindowConfig,
     WindowSnapshot,
     aggregate_windows,
-    merge_windows,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "WindowConfig",
     "WindowSnapshot",
     "aggregate_windows",
-    "merge_windows",
     "score_detection",
     "truth_from_replica_timeline",
 ]

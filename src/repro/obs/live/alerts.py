@@ -148,7 +148,3 @@ class AlertManager:
                     tracker.clear_streak = 0
         self.alerts.sort(key=lambda a: (a.fired_at_us, a.rule))
         return self.alerts
-
-    def open_alerts(self) -> List[Alert]:
-        """Alerts not yet resolved at the end of the stream."""
-        return [a for a in self.alerts if a.resolved_at_us is None]

@@ -24,7 +24,7 @@ def _fmt_us(us: float) -> str:
 
 def _alert_marks(run: MonitorRun) -> Dict[int, List[str]]:
     """Window index -> alert lifecycle marks rendered in that row."""
-    width = run.spec.window.step_us
+    width = run.spec.window.width_us
     marks: Dict[int, List[str]] = {}
 
     def index_of(ts: float) -> int:

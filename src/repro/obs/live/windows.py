@@ -13,14 +13,10 @@ Semantics, pinned by tests:
 * The series is **gapless** from ``t_start`` through the horizon —
   windows with no events still appear (an empty window is a signal:
   zero traffic), with zeroed counts and 0.0 percentiles.
-* **Tumbling** windows (``slide_us is None`` or ``== width_us``)
-  partition time; **sliding** windows overlap: one snapshot every
-  ``slide_us`` covering the trailing ``width_us`` (``width_us`` must
-  be an integer multiple of ``slide_us``).
+* Windows **tumble**: consecutive ``width_us`` windows partition
+  time, so each event lands in exactly one window.
 * Percentiles are exact over the window's retained samples (sorted,
-  linear interpolation), so merging per-shard windows with
-  :func:`merge_windows` is order-independent: the merged sample
-  lists re-sort to the same series no matter how they arrived.
+  linear interpolation).
 """
 
 from __future__ import annotations
@@ -32,36 +28,18 @@ from .events import TelemetryEvent
 
 
 class WindowError(ValueError):
-    """Raised for inconsistent window configurations or merges."""
+    """Raised for invalid window configurations or event streams."""
 
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Window geometry: width plus optional slide (None = tumbling)."""
+    """Window geometry: the width of each tumbling window."""
 
     width_us: float
-    slide_us: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.width_us <= 0:
             raise WindowError(f"width_us must be > 0: {self.width_us}")
-        slide = self.slide_us
-        if slide is not None:
-            if slide <= 0 or slide > self.width_us:
-                raise WindowError(
-                    f"slide_us must be in (0, width_us]: {slide}"
-                )
-            ratio = self.width_us / slide
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise WindowError(
-                    "width_us must be an integer multiple of slide_us: "
-                    f"{self.width_us} / {slide}"
-                )
-
-    @property
-    def step_us(self) -> float:
-        """Distance between consecutive window starts."""
-        return self.slide_us if self.slide_us is not None else self.width_us
 
 
 def percentile(sorted_samples: Sequence[float], q: float) -> float:
@@ -127,11 +105,6 @@ class WindowSnapshot:
         """Terminal outcomes that did not answer ok."""
         return self.finished - self.ok
 
-    def error_rate(self) -> float:
-        """Errors over finished (0.0 when the window saw no outcome)."""
-        finished = self.finished
-        return self.errors / finished if finished else 0.0
-
     def qps(self) -> float:
         """Arrival rate over the window, in queries per second."""
         return self.arrivals / self.width_us * 1e6 if self.width_us else 0.0
@@ -145,11 +118,6 @@ class WindowSnapshot:
 
     def answered_legs(self) -> int:
         return sum(self.legs_fresh.values()) + self.stale_legs()
-
-    def stale_fraction(self) -> float:
-        """Stale share of answered legs (the freshness signal)."""
-        answered = self.answered_legs()
-        return self.stale_legs() / answered if answered else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view (JSON-friendly, samples summarized)."""
@@ -255,69 +223,21 @@ def aggregate_windows(
         )
     last_ts = ordered[-1].ts_us if ordered else t_start
     end = max(horizon_us if horizon_us is not None else t_start, last_ts)
-    step = config.step_us
     width = config.width_us
     #: Windows whose *start* lies in [t_start, end] — an event exactly
     #: at the horizon still has a window to land in (half-open rule).
-    count = int((end - t_start) // step) + 1
+    count = int((end - t_start) // width) + 1
     windows = [
         WindowSnapshot(
             index=i,
-            start_us=t_start + i * step,
-            end_us=t_start + i * step + width,
+            start_us=t_start + i * width,
+            end_us=t_start + i * width + width,
         )
         for i in range(count)
     ]
-    per_step = int(round(width / step))
     for event in ordered:
-        #: Latest window containing ts: start <= ts < start + width.
-        last_index = int((event.ts_us - t_start) // step)
-        first_index = max(0, last_index - per_step + 1)
-        for index in range(first_index, min(last_index, count - 1) + 1):
-            _ingest(windows[index], event)
+        #: The one window containing ts: start <= ts < start + width.
+        _ingest(windows[int((event.ts_us - t_start) // width)], event)
     for window in windows:
         window.latencies.sort()
     return windows
-
-
-def merge_windows(parts: Sequence[WindowSnapshot]) -> WindowSnapshot:
-    """Merge same-interval windows (e.g. one per shard) into one.
-
-    Counts add; latency samples concatenate and re-sort, so the merged
-    percentiles are exact and independent of merge order.
-    """
-    if not parts:
-        raise WindowError("nothing to merge")
-    first = parts[0]
-    merged = WindowSnapshot(
-        index=first.index, start_us=first.start_us, end_us=first.end_us
-    )
-    for part in parts:
-        if (part.start_us, part.end_us) != (first.start_us, first.end_us):
-            raise WindowError(
-                "cannot merge windows over different intervals: "
-                f"[{first.start_us}, {first.end_us}) vs "
-                f"[{part.start_us}, {part.end_us})"
-            )
-        merged.arrivals += part.arrivals
-        for status, n in part.outcomes.items():
-            merged.outcomes[status] = merged.outcomes.get(status, 0) + n
-        merged.ok += part.ok
-        merged.latencies.extend(part.latencies)
-        for src, dst in (
-            (part.legs_fresh, merged.legs_fresh),
-            (part.legs_stale, merged.legs_stale),
-            (part.legs_shed, merged.legs_shed),
-            (part.region_served, merged.region_served),
-            (part.region_stale, merged.region_stale),
-        ):
-            for key, n in src.items():
-                dst[key] = dst.get(key, 0) + n
-        merged.health_transitions += part.health_transitions
-        merged.quarantines += part.quarantines
-        merged.breaker_opens += part.breaker_opens
-        merged.audit_checks += part.audit_checks
-        merged.audit_mismatches += part.audit_mismatches
-        merged.faults.extend(part.faults)
-    merged.latencies.sort()
-    return merged

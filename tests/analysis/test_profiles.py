@@ -7,7 +7,6 @@ from repro.analysis import (
     Profile,
     format_profile_table,
     profile_from_parse_results,
-    profile_from_report,
 )
 from repro.analysis.profiles import category_latency
 from repro.baselines import SerialMachine
@@ -42,14 +41,6 @@ class TestProfile:
 
 
 class TestExtraction:
-    def test_profile_from_serial_report(self, fig5_kb):
-        report = SerialMachine(fig5_kb).run(assemble(
-            "SEARCH-NODE w:we m1\nPROPAGATE m1 m2 chain(is-a) identity"
-        ))
-        profile = profile_from_report(report)
-        assert profile.counts == {"search": 1, "propagate": 1}
-        assert profile.total_time_us == pytest.approx(report.total_time_us)
-
     def test_category_latency_serial(self, fig5_kb):
         report = SerialMachine(fig5_kb).run(assemble(
             "SEARCH-NODE w:we m1\nPROPAGATE m1 m2 chain(is-a) identity"

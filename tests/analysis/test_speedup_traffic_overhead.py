@@ -13,7 +13,6 @@ from repro.analysis import (
     measure_beta,
     parallelism_stats,
     summarize_traffic,
-    traffic_histogram,
 )
 from repro.machine.report import OverheadBreakdown
 
@@ -34,13 +33,8 @@ class TestSpeedupCurve:
         assert speedups[0][1] == 1.0
         assert speedups[2][1] == pytest.approx(10.0)
 
-    def test_speedup_at(self):
-        assert self.make_curve().speedup_at(16) == pytest.approx(10.0)
-        assert self.make_curve().speedup_at(99) is None
-
     def test_max_and_efficiency(self):
         curve = self.make_curve()
-        assert curve.max_speedup() == pytest.approx(100 / 9)
         eff = dict(curve.efficiency())
         assert eff[1] == pytest.approx(1.0)
         assert eff[64] < 0.2
@@ -73,10 +67,6 @@ class TestTraffic:
         summary = summarize_traffic([])
         assert summary.sync_points == 0
         assert not summary.bursty
-
-    def test_histogram_buckets(self):
-        hist = traffic_histogram([0, 3, 7, 12], bucket=5)
-        assert hist == {"0-4": 2, "5-9": 1, "10-14": 1}
 
     def test_render(self):
         text = format_traffic_series([5, 35], title="t")

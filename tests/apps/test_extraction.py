@@ -6,7 +6,6 @@ from repro.apps.nlu import (
     MemoryBasedParser,
     build_domain_kb,
     extract_template,
-    extract_text,
 )
 from repro.machine import MachineConfig, SnapMachine
 
@@ -68,14 +67,13 @@ class TestRoleFilling:
 
 
 class TestBulkExtraction:
-    def test_extract_text_skips_failures(self, parser, kb):
-        results = parser.parse_text([
+    def test_failed_parse_yields_no_template(self, parser, kb):
+        good, failed = parser.parse_text([
             "terrorists attacked the mayor",
             "in of the",
         ])
-        templates = extract_text(results, kb)
-        assert len(templates) == 1
-        assert templates[0].event_type == "attack-event"
+        assert extract_template(good, kb).event_type == "attack-event"
+        assert extract_template(failed, kb) is None
 
     def test_binding_details_populated(self, parser):
         result = parser.parse("terrorists attacked the mayor")

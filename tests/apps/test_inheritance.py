@@ -8,7 +8,6 @@ from repro.apps import (
     inheritance_program,
     install_property,
     property_lookup_program,
-    run_inheritance,
 )
 from repro.apps.classification import ClassificationError
 from repro.baselines import SerialMachine
@@ -32,15 +31,6 @@ class TestInheritance:
         machine = SerialMachine(net)
         report = machine.run(inheritance_program(num_properties=3))
         assert len(report.results()) == 3
-
-    def test_run_inheritance_helper(self):
-        net = generate_hierarchy_kb(60)
-        machine = SerialMachine(net)
-        run = run_inheritance(machine, kb_nodes=60, label="serial")
-        assert run.kb_nodes == 60
-        assert run.inherited == 59
-        assert run.time_us > 0
-        assert run.time_s == pytest.approx(run.time_us / 1e6)
 
     def test_property_lookup_positive(self):
         net = generate_hierarchy_kb(40, properties_at_root=2)

@@ -49,8 +49,8 @@ class TestSerialMachine:
 
     def test_frequency_share(self, fig5_kb):
         report = SerialMachine(fig5_kb).run(assemble(PROGRAM))
-        freq = report.category_frequency_share()
-        assert freq["propagate"] == pytest.approx(0.2)
+        counts = report.category_counts()
+        assert counts["propagate"] / sum(counts.values()) == pytest.approx(0.2)
 
     def test_set_clear_near_paper_anchor(self):
         """Calibration: SET/CLEAR around 50 µs (paper §IV) on a

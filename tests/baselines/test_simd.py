@@ -79,4 +79,4 @@ class TestSimdSemantics:
         report = simd.run(assemble(
             "SEARCH-NODE a0 m1 0.0\nPROPAGATE m1 m2 chain(r) add-weight"
         ))
-        assert report.total_steps() == 5
+        assert sum(t.steps for t in report.traces) == 5

@@ -62,7 +62,7 @@ class TestRunResult:
 
     def test_total_work_positive(self, fig5_kb):
         result = run_program(fig5_kb, assemble(FIG5_PROGRAM))
-        assert result.total_work().total() > 0
+        assert sum(r.work.total() for r in result.records) > 0
 
     def test_collects_listed_in_order(self, fig5_kb):
         program = assemble("""

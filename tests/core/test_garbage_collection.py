@@ -35,7 +35,6 @@ class TestGarbageCollect:
     def test_orphaned_result_node_reclaimed(self, engine):
         bind_and_unbind(engine, "result:1")
         assert engine.state.garbage_collect() == 1
-        assert engine.state.free_node_slots == 1
         assert "result:1" not in engine.state.network
 
     def test_live_result_node_kept(self, engine):
@@ -56,7 +55,6 @@ class TestGarbageCollect:
         )
         # The new result node reuses the freed physical slot.
         assert engine.state.network.num_nodes == nodes_before
-        assert engine.state.free_node_slots == 0
         assert "result:new" in engine.state.network
         assert engine.state.network.node("result:new").color == Color.RESULT
 
@@ -102,7 +100,7 @@ class TestMachineHousekeeping:
             MarkerCreate(M0, "binding", "result:s1", "binding-inverse"),
             MarkerDelete(M0, "binding", "result:s1", "binding-inverse"),
         ])
-        assert machine.housekeep() == 1
+        assert machine.state.garbage_collect() == 1
         # Machine still runs fine afterwards.
-        results = machine.run_and_collect([CollectNode(M0)])
+        results = machine.run([CollectNode(M0)]).results()
         assert results[-1]

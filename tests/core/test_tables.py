@@ -82,23 +82,11 @@ class TestMarkerStatusTable:
         expected = [n for n in range(40) if n != 5]
         assert table.nodes_with(2) == expected
 
-    def test_copy_row(self):
-        table = MarkerStatusTable(33)
-        table.set(0, 32)
-        table.copy_row(0, 7)
-        assert table.nodes_with(7) == [32]
-
     def test_nodes_with_ascending(self):
         table = MarkerStatusTable(200)
         for node in (199, 3, 64, 31):
             table.set(9, node)
         assert table.nodes_with(9) == [3, 31, 64, 199]
-
-    def test_nonzero_words(self):
-        table = MarkerStatusTable(128)
-        table.set(1, 0)
-        table.set(1, 127)
-        assert table.nonzero_words(1) == 2
 
     def test_row_view_readonly(self):
         table = MarkerStatusTable(32)
@@ -194,7 +182,6 @@ class TestRelationTable:
         table = RelationTable(1, cont_relation_id=None)
         for i in range(20):
             table.add(0, self.entry(rel=i, dg=i))
-        assert table.slots_used(0) == 20
         assert len(table.entries(0)) == 20
 
     def test_remove_compacts(self):
@@ -211,7 +198,7 @@ class TestRelationTable:
         for i in range(18):
             table.add(0, self.entry(rel=i, dg=i))
         assert table.remove(0, 17, 17)
-        assert table.slots_used(0) == 17
+        assert len(table.entries(0)) == 17
 
     def test_links_of_walks_continuation(self):
         cont = 99

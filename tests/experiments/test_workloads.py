@@ -20,7 +20,9 @@ class TestAlphaNetwork:
     def test_seed_colors_per_stream(self):
         net = alpha_network(alpha=4, path_length=2, streams=3)
         for stream in range(3):
-            seeds = net.nodes_with_color(SEED_COLOR_BASE + stream)
+            seeds = [
+                n for n in net.nodes() if n.color == SEED_COLOR_BASE + stream
+            ]
             assert len(seeds) == 4
 
     def test_chains_are_linear(self):

@@ -125,5 +125,5 @@ class TestShardExecutor:
         config = FleetConfig(num_shards=4, failover_penalty_us=1e6)
         executor = ShardExecutor(shards[0], config)
         query = _FakeQuery(program_for("thing"), template="t")
-        base = executor.base_service_us(query)
+        base = executor.execute(query).service_us
         assert 0 < base < 1e6

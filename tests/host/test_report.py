@@ -72,9 +72,7 @@ class TestLatencySummary:
         assert summary["p50"] == report.latency_percentile(50)
         assert summary["p95"] == report.latency_percentile(95)
         assert summary["p99"] == report.latency_percentile(99)
-        assert summary["mean"] == pytest.approx(
-            report.mean_served_latency_us
-        )
+        assert summary["mean"] == pytest.approx(550.0)
 
     def test_empty_report_summary_is_zero(self):
         summary = ServingReport().latency_summary()

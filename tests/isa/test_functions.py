@@ -42,7 +42,8 @@ class TestHopFunctions:
         assert registry.hop("add-weight").alive(1e30)
 
     def test_lookup_by_name_and_token_agree(self, registry):
-        token = registry.hop_token("add-weight")
+        # Registration is idempotent by name and returns the token.
+        token = registry.register_hop(registry.hop("add-weight"))
         assert registry.hop(token) is registry.hop("add-weight")
 
     def test_unknown_name_raises(self, registry):

@@ -28,8 +28,8 @@ class TestSpread:
 
     def test_never_terminal(self):
         rule = spread("a", "b")
-        assert not rule.is_terminal(0)
-        assert not rule.is_terminal(1)
+        assert rule.moves(0)
+        assert rule.moves(1)
 
 
 class TestSeq:
@@ -37,7 +37,7 @@ class TestSeq:
         rule = seq("r1", "r2")
         assert dict(rule.moves(0)) == {"r1": 1}
         assert dict(rule.moves(1)) == {"r2": 2}
-        assert rule.is_terminal(2)
+        assert rule.moves(2) == ()
 
 
 class TestCombChainStep:
@@ -48,12 +48,12 @@ class TestCombChainStep:
     def test_chain_single_relation(self):
         rule = chain("r")
         assert dict(rule.moves(0)) == {"r": 0}
-        assert rule.num_states == 1
+        assert len(rule.table) == 1
 
     def test_step_terminal_after_one(self):
         rule = step("r")
         assert dict(rule.moves(0)) == {"r": 1}
-        assert rule.is_terminal(1)
+        assert rule.moves(1) == ()
 
 
 class TestCustom:

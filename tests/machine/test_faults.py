@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from repro.isa import assemble
-from repro.isa.allocator import MarkerAllocator
 from repro.machine import (
     FaultConfig,
     FaultConfigError,
@@ -16,7 +15,6 @@ from repro.machine import (
     SnapMachine,
     failed_clusters_for,
 )
-from repro.machine.memory import ClusterArbiter, MemoryError_, MultiportMemory
 from repro.network.generator import generate_hierarchy_kb
 from repro.network.partition import (
     PartitionError,
@@ -174,50 +172,6 @@ class TestFaultInjector:
             FaultInjector(FaultConfig(), 4, [2, 2])
 
 
-class TestMemoryFaults:
-    def test_parity_detects_corruption(self):
-        mem = MultiportMemory(words=8)
-        mem.write(0, 3, 0b1011)
-        mem.corrupt(3, bit=2)
-        value, ok = mem.read_checked(1, 3)
-        assert not ok
-        assert mem.parity_errors == 1
-
-    def test_clean_read_passes_parity(self):
-        mem = MultiportMemory(words=8)
-        mem.write(0, 3, 0b1011)
-        value, ok = mem.read_checked(1, 3)
-        assert ok and value == 0b1011
-        assert mem.parity_errors == 0
-
-
-class TestArbiterFaults:
-    def test_failed_holder_force_released(self):
-        arbiter = ClusterArbiter(ports=4)
-        arbiter.request(0)
-        arbiter.request(1)
-        holder = arbiter.grant()
-        arbiter.fail_port(holder)
-        assert arbiter.holder is None
-        assert arbiter.forced_releases == 1
-        # The surviving port can still be granted.
-        assert arbiter.grant() is not None
-
-    def test_failed_port_requests_rejected(self):
-        arbiter = ClusterArbiter(ports=4)
-        arbiter.fail_port(2)
-        with pytest.raises(MemoryError_):
-            arbiter.request(2)
-        assert arbiter.failed_ports == frozenset({2})
-
-    def test_pending_requests_purged(self):
-        arbiter = ClusterArbiter(ports=4)
-        arbiter.request(1)
-        arbiter.request(2)
-        arbiter.fail_port(1)
-        assert arbiter.grant() == 2
-
-
 class TestEvictClusters:
     def test_excluded_clusters_emptied(self):
         network = generate_hierarchy_kb(60, branching=3)
@@ -347,21 +301,6 @@ class TestRecoveryLayers:
         # Nodes on dead clusters are lost, but the machine completes.
         assert 0 < len(report.results()[0]) < len(clean.results()[0])
         assert report.fault_stats.messages_unreachable > 0
-
-
-class TestAllocatorSnapshot:
-    def test_snapshot_restore_roundtrip(self):
-        alloc = MarkerAllocator()
-        alloc.complex("keep")
-        checkpoint = alloc.snapshot()
-        alloc.complex("scratch-a")
-        alloc.binary("scratch-b")
-        alloc.restore(checkpoint)
-        assert alloc.live() == ["keep"]
-        assert "scratch-a" not in alloc
-        # Freed registers are reusable after the rollback.
-        alloc.complex("scratch-a")
-        assert alloc.name_of(alloc["scratch-a"]) == "scratch-a"
 
 
 class TestQueryVisibleFailures:

@@ -6,6 +6,39 @@ from hypothesis import given, settings, strategies as st
 from repro.machine import HypercubeTopology, IcnStats, TopologyError, link_key
 
 
+def _hamming(topo, a, b):
+    """Differing address digits between two clusters."""
+    return sum(1 for x, y in zip(topo.digits(a), topo.digits(b)) if x != y)
+
+
+@st.composite
+def cluster_pairs(draw):
+    """(num_clusters, src, dst) with both endpoints in range."""
+    n = draw(st.integers(1, 64))
+    src = draw(st.integers(0, n - 1))
+    dst = draw(st.integers(0, n - 1))
+    return n, src, dst
+
+
+@st.composite
+def fault_patterns(draw):
+    """(num_clusters, src, dst, blocked_clusters, blocked_links)."""
+    n, src, dst = draw(cluster_pairs())
+    blocked_clusters = frozenset(
+        draw(st.sets(st.integers(0, n - 1), max_size=min(n, 8)))
+    )
+    link_pairs = draw(
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=8,
+        )
+    )
+    blocked_links = frozenset(
+        link_key(a, b) for a, b in link_pairs if a != b
+    )
+    return n, src, dst, blocked_clusters, blocked_links
+
+
 class TestAddressing:
     def test_32_clusters_use_three_digits(self):
         topo = HypercubeTopology(32)
@@ -51,11 +84,10 @@ class TestRouting:
     def test_diameter_is_three_for_32_clusters(self):
         """§III-B: at most three intermediate hops for 32 clusters."""
         topo = HypercubeTopology(32)
-        assert topo.max_distance() == 3
         worst = max(
             topo.distance(a, b) for a in range(32) for b in range(32)
         )
-        assert worst == 3
+        assert worst == topo.num_digits == 3
 
     def test_dimension_names(self):
         topo = HypercubeTopology(32)
@@ -101,6 +133,23 @@ class TestRouting:
             assert sum(1 for x, y in zip(da, db) if x != y) == 1
             previous = hop
 
+    @given(pair=cluster_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_routes_are_valid_paths(self, pair):
+        """A route is a chain of single-digit hops from src to dst over
+        existing clusters, on machines of 1 to 64 clusters."""
+        n, src, dst = pair
+        topo = HypercubeTopology(n)
+        path = topo.route(src, dst)
+        assert (path == []) == (src == dst)
+        previous = src
+        for hop in path:
+            assert 0 <= hop < n
+            assert _hamming(topo, previous, hop) == 1
+            previous = hop
+        if path:
+            assert path[-1] == dst
+
 
 class TestNonPowerOfFour:
     """Partially populated machines (cluster count not a power of 4)."""
@@ -144,7 +193,7 @@ class TestMaxHopClaim:
         topo = HypercubeTopology(16)
         for a in range(16):
             for b in range(16):
-                assert topo.distance(a, b) == topo.hamming(a, b)
+                assert topo.distance(a, b) == _hamming(topo, a, b)
 
 
 class TestRouteSymmetry:
@@ -224,12 +273,29 @@ class TestRouteAvoiding:
         )
         assert first == second
 
+    @given(pattern=fault_patterns())
+    @settings(max_examples=100, deadline=None)
+    def test_route_avoiding_respects_blocked_sets(self, pattern):
+        n, src, dst, blocked_clusters, blocked_links = pattern
+        topo = HypercubeTopology(n)
+        path = topo.route_avoiding(
+            src, dst, blocked_clusters, blocked_links
+        )
+        if path is None:
+            return
+        previous = src
+        for hop in path:
+            assert hop not in blocked_clusters
+            assert link_key(previous, hop) not in blocked_links
+            previous = hop
+        assert previous == dst
+
 
 class TestStats:
     def test_record_and_means(self):
         stats = IcnStats()
-        stats.record(1, 2.0)
-        stats.record(3, 4.0)
+        stats.record_message(("L",), 2.0)
+        stats.record_message(("L", "X", "Y"), 4.0)
         assert stats.messages == 2
         assert stats.mean_hops == 2.0
         assert stats.mean_latency == 3.0
@@ -237,10 +303,9 @@ class TestStats:
 
     def test_dimension_counting(self):
         stats = IcnStats()
-        stats.record_dimension("L")
-        stats.record_dimension("L")
-        stats.record_dimension("X")
+        stats.record_message(("L", "L", "X"), 1.0)
         assert stats.dimension_counts == {"L": 2, "X": 1}
+        assert stats.to_json()["dimension_counts"] == {"L": 2, "X": 1}
 
     def test_empty_stats(self):
         stats = IcnStats()

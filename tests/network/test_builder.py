@@ -9,12 +9,21 @@ from repro.network import (
     KnowledgeBaseBuilder,
     MAX_FANOUT,
     SemanticNetwork,
-    logical_fanout,
     preprocess_fanout,
 )
 from repro.network.builder import continuation_chain
 from repro.network.graph import GraphError
 
+
+def logical_fanout(physical: SemanticNetwork, node_ref) -> int:
+    """Fanout of a node counting through its continuation chain."""
+    cont_id = physical.relations.get(CONT_RELATION)
+    return sum(
+        1
+        for nid in continuation_chain(physical, node_ref)
+        for link in physical.outgoing(nid)
+        if link.relation != cont_id
+    )
 
 def make_hub(fanout: int) -> SemanticNetwork:
     net = SemanticNetwork()
@@ -74,7 +83,7 @@ class TestFanoutPreprocessor:
     def test_link_destinations_preserved(self):
         net = make_hub(40)
         physical = preprocess_fanout(net)
-        cont = physical.relations.id_of(CONT_RELATION)
+        cont = physical.relations.get(CONT_RELATION)
         dests = set()
         nid = physical.resolve("hub")
         while nid is not None:

@@ -8,7 +8,6 @@ from repro.network import (
     HIERARCHY_ROOT,
     generate_hierarchy_kb,
     generate_kb,
-    kb_size_sweep,
     layer_histogram,
     nonlexical_proportions,
 )
@@ -60,13 +59,6 @@ class TestGenerateKb:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             GeneratorSpec(total_nodes=10)
-
-    def test_sweep_monotone_sizes(self):
-        nets = kb_size_sweep([300, 600, 1200])
-        sizes = [n.num_nodes for n in nets]
-        assert sizes == sorted(sizes)
-        assert sizes[0] < sizes[-1]
-
 
 class TestHierarchyKb:
     def test_structure(self):

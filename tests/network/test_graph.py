@@ -130,20 +130,12 @@ class TestLinks:
 
 
 class TestQueriesAndStats:
-    def test_nodes_with_color(self, fig5_kb):
-        lexical = fig5_kb.nodes_with_color(Color.LEXICAL)
-        assert {n.name for n in lexical} == {"w:we", "w:saw", "w:terrorists"}
-
     def test_stats_keys(self, fig5_kb):
         stats = fig5_kb.stats()
         assert stats["nodes"] == fig5_kb.num_nodes
         assert stats["links"] == fig5_kb.num_links
         assert stats["max_fanout"] >= 1
         assert stats["relation_types"] >= 3
-
-    def test_color_histogram_sums_to_nodes(self, fig5_kb):
-        hist = fig5_kb.color_histogram()
-        assert sum(hist.values()) == fig5_kb.num_nodes
 
     def test_validate_passes_on_good_graph(self, fig5_kb):
         fig5_kb.validate()

@@ -33,12 +33,7 @@ class TestRegistration:
         registry = RelationRegistry()
         rid = registry.register("part-of-x")
         assert registry.name_of(rid) == "part-of-x"
-        assert registry.id_of("part-of-x") == rid
-
-    def test_unknown_name_raises(self):
-        registry = RelationRegistry()
-        with pytest.raises(RelationError):
-            registry.id_of("no-such-relation")
+        assert registry.get("part-of-x") == rid
 
     def test_unknown_id_raises(self):
         registry = RelationRegistry()
@@ -67,8 +62,3 @@ class TestInverses:
     def test_inverse_of_inverse_is_original(self):
         registry = RelationRegistry()
         assert registry.inverse_name("inverse:is-a") == "is-a"
-
-    def test_register_inverse(self):
-        registry = RelationRegistry()
-        rid = registry.register_inverse("is-a")
-        assert registry.name_of(rid) == "inverse:is-a"

@@ -37,7 +37,7 @@ class TestChaosMonitor:
         assert all(m.detected for m in chaos_run.score.matches)
 
     def test_window_series_is_gapless(self, chaos_run):
-        step = chaos_run.spec.window.step_us
+        step = chaos_run.spec.window.width_us
         starts = [w.start_us for w in chaos_run.windows]
         assert starts == [i * step for i in range(len(starts))]
 

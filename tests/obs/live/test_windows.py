@@ -1,11 +1,10 @@
-"""Window-semantics edge cases: boundaries, empty windows, merges."""
+"""Window-semantics edge cases: boundaries, empty windows, ordering."""
 
 import pytest
 
 from repro.obs.live.events import TelemetryEvent, TelemetrySink
 from repro.obs.live.windows import (
-    WindowConfig, WindowError, aggregate_windows, merge_windows,
-    percentile,
+    WindowConfig, WindowError, aggregate_windows, percentile,
 )
 
 
@@ -21,24 +20,15 @@ def _query(ts, seq=0, ok=True, latency=100.0, status="served"):
 
 class TestWindowConfig:
     def test_tumbling_step_is_width(self):
-        assert WindowConfig(10.0).step_us == 10.0
-
-    def test_sliding_step_is_slide(self):
-        assert WindowConfig(10.0, slide_us=5.0).step_us == 5.0
+        windows = aggregate_windows([], WindowConfig(10.0), horizon_us=25.0)
+        assert [(w.start_us, w.end_us) for w in windows] == [
+            (0.0, 10.0), (10.0, 20.0), (20.0, 30.0),
+        ]
 
     @pytest.mark.parametrize("width", [0.0, -1.0])
     def test_bad_width_raises(self, width):
         with pytest.raises(WindowError):
             WindowConfig(width)
-
-    @pytest.mark.parametrize("slide", [0.0, -1.0, 11.0])
-    def test_bad_slide_raises(self, slide):
-        with pytest.raises(WindowError):
-            WindowConfig(10.0, slide_us=slide)
-
-    def test_non_multiple_slide_raises(self):
-        with pytest.raises(WindowError, match="integer multiple"):
-            WindowConfig(10.0, slide_us=4.0)
 
 
 class TestHalfOpenBoundary:
@@ -82,9 +72,7 @@ class TestEmptyWindows:
         assert all(w.finished == 0 for w in windows)
         # Empty window percentiles are 0.0, never an exception.
         assert windows[0].latency_pct(99) == 0.0
-        assert windows[0].error_rate() == 0.0
         assert windows[0].qps() == 0.0
-        assert windows[0].stale_fraction() == 0.0
 
     def test_horizon_extends_but_never_truncates(self):
         events = [_event(25.0, "arrival")]
@@ -98,41 +86,6 @@ class TestEmptyWindows:
             aggregate_windows(
                 [_event(1.0, "arrival")], WindowConfig(10.0), t_start=5.0
             )
-
-
-class TestSlidingWindows:
-    def test_event_appears_in_every_covering_window(self):
-        # width 20, slide 10: ts=25 is covered by starts 10 and 20.
-        windows = aggregate_windows(
-            [_event(25.0, "arrival")],
-            WindowConfig(20.0, slide_us=10.0),
-            horizon_us=40.0,
-        )
-        hits = [w.index for w in windows if w.arrivals]
-        assert hits == [1, 2]
-
-    def test_early_event_not_double_counted_before_start(self):
-        windows = aggregate_windows(
-            [_event(5.0, "arrival")],
-            WindowConfig(20.0, slide_us=10.0),
-            horizon_us=30.0,
-        )
-        assert [w.arrivals for w in windows] == [1, 0, 0, 0]
-
-    def test_order_independence(self):
-        events = [
-            _query(3.0, seq=0, latency=50.0),
-            _query(17.0, seq=1, latency=150.0),
-            _event(9.0, "arrival", seq=2),
-        ]
-        config = WindowConfig(20.0, slide_us=10.0)
-        forward = aggregate_windows(events, config, horizon_us=30.0)
-        backward = aggregate_windows(
-            list(reversed(events)), config, horizon_us=30.0
-        )
-        assert [w.as_dict() for w in forward] == [
-            w.as_dict() for w in backward
-        ]
 
 
 class TestPercentile:
@@ -154,51 +107,6 @@ class TestPercentile:
             percentile([1.0], 101)
 
 
-class TestMerge:
-    @staticmethod
-    def _shard_windows():
-        shard_a = [
-            _query(1.0, seq=0, latency=100.0),
-            _event(2.0, "leg", seq=1, shard=0, status="fresh", region=0),
-        ]
-        shard_b = [
-            _query(3.0, seq=0, latency=300.0),
-            _event(4.0, "leg", seq=1, shard=1, status="stale", region=1),
-        ]
-        config = WindowConfig(10.0)
-        return (
-            aggregate_windows(shard_a, config, horizon_us=9.0)[0],
-            aggregate_windows(shard_b, config, horizon_us=9.0)[0],
-        )
-
-    def test_merged_percentiles_are_order_independent(self):
-        a, b = self._shard_windows()
-        ab, ba = merge_windows([a, b]), merge_windows([b, a])
-        assert ab.latencies == sorted(ab.latencies)
-        assert ab.as_dict() == ba.as_dict()
-        assert ab.latency_pct(50) == pytest.approx(200.0)
-
-    def test_merge_sums_counts(self):
-        a, b = self._shard_windows()
-        merged = merge_windows([a, b])
-        assert merged.ok == 2
-        assert merged.legs_fresh == {0: 1}
-        assert merged.legs_stale == {1: 1}
-        assert merged.stale_fraction() == pytest.approx(0.5)
-
-    def test_merge_interval_mismatch_raises(self):
-        a, _ = self._shard_windows()
-        other = aggregate_windows(
-            [_event(12.0, "arrival")], WindowConfig(10.0)
-        )[1]
-        with pytest.raises(WindowError, match="different intervals"):
-            merge_windows([a, other])
-
-    def test_merge_nothing_raises(self):
-        with pytest.raises(WindowError, match="nothing to merge"):
-            merge_windows([])
-
-
 class TestIngestKinds:
     def test_query_ok_defaults_to_served_status(self):
         events = [
@@ -211,7 +119,6 @@ class TestIngestKinds:
         assert window.ok == 1
         assert window.errors == 1
         assert window.outcomes == {"served": 1, "shed": 1}
-        assert window.error_rate() == pytest.approx(0.5)
 
     def test_lifecycle_signals_counted(self):
         events = [
@@ -243,6 +150,21 @@ class TestIngestKinds:
             events, WindowConfig(10.0), horizon_us=9.0
         )
         assert window.faults == ["region-fail r0", "region-slowdown r2 x3"]
+
+    def test_order_independence(self):
+        events = [
+            _query(3.0, seq=0, latency=50.0),
+            _query(17.0, seq=1, latency=150.0),
+            _event(9.0, "arrival", seq=2),
+        ]
+        config = WindowConfig(10.0)
+        forward = aggregate_windows(events, config, horizon_us=30.0)
+        backward = aggregate_windows(
+            list(reversed(events)), config, horizon_us=30.0
+        )
+        assert [w.as_dict() for w in forward] == [
+            w.as_dict() for w in backward
+        ]
 
 
 class TestSink:

@@ -76,8 +76,8 @@ class TestMachineInstrumentation:
 
     def test_icn_record_message_invariant_under_tracing(self):
         # Every counted hop must be attributed to exactly one L/X/Y
-        # memory; to_json() raises if tracing ever skews the split
-        # record/record_dimension accounting.
+        # memory; to_json() raises if tracing ever skews the
+        # per-message hop and per-dimension counts.
         tracer = Tracer()
         report = _machine().run(assemble(PROGRAM), tracer=tracer)
         stats = report.icn_stats
