@@ -48,6 +48,24 @@ _PENDING = "pending"
 _FRESH = "fresh"
 _STALE = "stale"
 _SHED = "shed"
+#: Status text per status, resolved once (an ``Enum.value`` read is a
+#: Python-level descriptor call).
+_STATUS_TEXT = {status: status.value for status in FleetStatus}
+_ANSWERED = (FleetStatus.COMPLETE, FleetStatus.DEGRADED)
+
+# Argument names of the observation hooks (see repro.obs.tracer).
+_K_TEMPLATE = ("template",)
+_K_STATUS = ("status",)
+_K_LEG = ("region", "home")
+_K_LEG_DONE = ("status", "miss")
+_K_QUERY_END = ("status", "fresh", "stale", "shed")
+_K_REGION = ("region",)
+_K_FAILOVER = ("to_region", "home")
+_K_QUERY_ID = ("query_id",)
+_K_LEG_EVENT = ("shard", "status", "region", "miss")
+_K_LEG_SHED = ("shard", "status", "region")
+_K_OUTCOME = ("query_id", "status", "arrival_us", "latency_us", "ok",
+              "stale", "reason")
 
 
 @dataclass(slots=True, eq=False)
@@ -66,7 +84,7 @@ class _Leg:
     miss: bool = False
     results: Optional[List[Any]] = None
     watchdog: Optional[list] = None
-    span: Optional[list] = None
+    span: Optional[int] = None
     #: Health handle of the in-flight probe dispatch, if any.
     probing: Optional[ShardReplica] = None
 
@@ -82,7 +100,31 @@ class _FleetQueryState:
     deadline_event: Optional[list] = None
     finished: bool = False
     track: int = 0
-    span: Optional[list] = None
+    span: Optional[int] = None
+
+
+class _FleetInstruments:
+    """The router's per-event metric instruments, resolved at attach."""
+
+    __slots__ = ("legs_shed", "legs_fresh", "legs_stale", "legs_miss",
+                 "leg_service", "in_flight", "primary_changes",
+                 "latency", "failovers", "queries")
+
+    def __init__(self, metrics) -> None:
+        resolve = metrics.resolve
+        self.legs_shed = resolve("counter", "fleet.legs.shed")
+        self.legs_fresh = resolve("counter", "fleet.legs.fresh")
+        self.legs_stale = resolve("counter", "fleet.legs.stale")
+        self.legs_miss = resolve("counter", "fleet.legs.miss")
+        self.leg_service = resolve("histogram", "fleet.leg.service_us")
+        self.in_flight = resolve("gauge", "fleet.in_flight")
+        self.primary_changes = resolve("counter", "fleet.primary_changes")
+        self.latency = resolve("histogram", "fleet.latency_us")
+        self.failovers = resolve("counter", "fleet.failovers")
+        self.queries = {
+            status: resolve("counter", f"fleet.queries.{text}")
+            for status, text in _STATUS_TEXT.items()
+        }
 
 
 class FleetRouter:
@@ -138,6 +180,9 @@ class FleetRouter:
         self._tr = obs_tracer if obs_tracer.enabled else None
         self._metrics = metrics
         self._observed = self._tr is not None or metrics is not None
+        self._mi = (
+            _FleetInstruments(metrics) if metrics is not None else None
+        )
         # Live-telemetry sink (duck-typed, append-only; normally a
         # repro.obs.live.TelemetrySink).  Deliberately independent of
         # `_observed`: the sink reads nothing back, so attaching one
@@ -210,11 +255,11 @@ class FleetRouter:
             )
             state.span = self._tr.begin(
                 state.track, f"query {qid}", now,
-                template=getattr(state.query, "template", "") or "",
+                _K_TEMPLATE, getattr(state.query, "template", "") or "",
             )
         if self._sink is not None:
             self._sink.emit(
-                now, "arrival", query_id=state.query.query_id
+                now, "arrival", _K_QUERY_ID, state.query.query_id
             )
         cap = self.config.queue_capacity
         if cap is not None and self._in_flight >= cap:
@@ -283,11 +328,11 @@ class FleetRouter:
             if leg.span is not None:
                 # Re-dispatch after a regional failure: the first
                 # attempt's service died with its region.
-                self._tr.end(leg.span, now, status="orphaned")
+                self._tr.end(leg.span, now, _K_STATUS, "orphaned")
             leg.span = self._tr.begin(
                 self._tk_shard[sid],
                 f"leg q{leg.state.query.query_id}", now,
-                region=region, home=home == region,
+                _K_LEG, region, home == region,
             )
         self._server(sid, region).submit((
             service, None, self._leg_done_cb,
@@ -350,11 +395,8 @@ class FleetRouter:
             self._note_leg_done(leg, answer, fresh, now)
         if self._sink is not None:
             self._sink.emit(
-                now, "leg",
-                shard=sid,
-                status=leg.status,
-                region=replica.region,
-                miss=answer.miss,
+                now, "leg", _K_LEG_EVENT,
+                sid, leg.status, replica.region, answer.miss,
             )
         state = leg.state
         state.resolved += 1
@@ -382,12 +424,12 @@ class FleetRouter:
         self._legs_shed[sid] += 1
         now = self.sim.now
         if self._tr is not None:
-            self._tr.end(leg.span, now, status=_SHED)
-        if self._metrics is not None:
-            self._metrics.counter("fleet.legs.shed").inc()
+            self._tr.end(leg.span, now, _K_STATUS, _SHED)
+        if self._mi is not None:
+            self._mi.legs_shed.inc()
         if self._sink is not None:
             self._sink.emit(
-                now, "leg", shard=sid, status=_SHED, region=leg.region
+                now, "leg", _K_LEG_SHED, sid, _SHED, leg.region
             )
         state = leg.state
         state.resolved += 1
@@ -411,13 +453,13 @@ class FleetRouter:
                     self.sim.cancel(leg.watchdog)
                 self._legs_shed[leg.shard_id] += 1
                 if self._tr is not None:
-                    self._tr.end(leg.span, self.sim.now, status=_SHED)
-                if self._metrics is not None:
-                    self._metrics.counter("fleet.legs.shed").inc()
+                    self._tr.end(leg.span, self.sim.now, _K_STATUS, _SHED)
+                if self._mi is not None:
+                    self._mi.legs_shed.inc()
                 if self._sink is not None:
                     self._sink.emit(
-                        self.sim.now, "leg", shard=leg.shard_id,
-                        status=_SHED, region=leg.region,
+                        self.sim.now, "leg", _K_LEG_SHED,
+                        leg.shard_id, _SHED, leg.region,
                     )
         answered = sum(
             1 for leg in state.legs if leg.status in (_FRESH, _STALE)
@@ -492,14 +534,9 @@ class FleetRouter:
         self._last_terminal_us = now
         if self._sink is not None:
             self._sink.emit(
-                now, "query",
-                query_id=query.query_id,
-                status=status.value,
-                arrival_us=query.arrival_us,
-                latency_us=now - query.arrival_us,
-                ok=outcome.ok,
-                stale=len(stale),
-                reason=shed_reason,
+                now, "query", _K_OUTCOME, query.query_id,
+                _STATUS_TEXT[status], query.arrival_us,
+                now - query.arrival_us, outcome.ok, len(stale), shed_reason,
             )
         if state.legs and status is not FleetStatus.SHED:
             self._in_flight -= 1
@@ -509,9 +546,8 @@ class FleetRouter:
             self._note_outcome(outcome, now)
         if self._tr is not None:
             self._tr.end(
-                state.span, now,
-                status=status.value, fresh=len(fresh),
-                stale=len(stale), shed=len(shed),
+                state.span, now, _K_QUERY_END,
+                _STATUS_TEXT[status], len(fresh), len(stale), len(shed),
             )
 
     def _emit_lifecycle_telemetry(self) -> None:
@@ -536,7 +572,7 @@ class FleetRouter:
                 ):
                     fields = dict(fields, shard=sid, region=region)
                     fields.pop("replica", None)
-                    emit(ts, "health", **fields)
+                    emit(ts, "health", tuple(fields), *fields.values())
 
     # ------------------------------------------------------------------
     # Region fault timeline
@@ -547,14 +583,12 @@ class FleetRouter:
             self._metrics.counter("fleet.region_events").inc()
         if self._tr is not None:
             self._tr.instant(
-                self._tk_router, event.kind, now, region=event.region,
+                self._tk_router, event.kind, now, _K_REGION, event.region,
             )
         if self._sink is not None:
             self._sink.emit(
-                now, "fault",
-                event=event.kind,
-                region=event.region,
-                value=event.value,
+                now, "fault", ("event", "region", "value"),
+                event.kind, event.region, event.value,
             )
         if event.kind == "region-fail":
             self.placement.region_fail(event.region)
@@ -592,7 +626,7 @@ class FleetRouter:
         if self._tr is not None:
             self._tr.instant(
                 self._tk_shard[job.shard_id], "rebuild-done", now,
-                region=job.target_region, kind=job.kind,
+                ("region", "kind"), job.target_region, job.kind,
             )
         # Serving reverts to the restored copy if it is now preferred
         # over the current primary (a home restore, typically).  The
@@ -604,7 +638,7 @@ class FleetRouter:
         if self._tr is not None:
             self._tr.instant(
                 self._tk_shard[job.shard_id], "rebuild-aborted",
-                self.sim.now, region=job.target_region,
+                self.sim.now, _K_REGION, job.target_region,
             )
 
     # ------------------------------------------------------------------
@@ -614,12 +648,11 @@ class FleetRouter:
                              now: float) -> None:
         if self._tr is not None:
             self._tr.instant(
-                self._tk_shard[shard_id], "failover", now,
-                to_region=region,
-                home=self.placement.home_region(shard_id),
+                self._tk_shard[shard_id], "failover", now, _K_FAILOVER,
+                region, self.placement.home_region(shard_id),
             )
-        if self._metrics is not None:
-            self._metrics.counter("fleet.primary_changes").inc()
+        if self._mi is not None:
+            self._mi.primary_changes.inc()
 
     def _note_in_flight(self) -> None:
         now = self.sim.now
@@ -627,40 +660,30 @@ class FleetRouter:
             self._tr.counter(
                 self._tk_router, "in_flight", now, self._in_flight
             )
-        if self._metrics is not None:
-            self._metrics.gauge("fleet.in_flight").set(
-                now, self._in_flight
-            )
+        if self._mi is not None:
+            self._mi.in_flight.set(now, self._in_flight)
 
     def _note_leg_done(self, leg: _Leg, answer: ShardAnswer,
                        fresh: bool, now: float) -> None:
         if self._tr is not None:
-            self._tr.end(
-                leg.span, now,
-                status=leg.status, miss=answer.miss,
-            )
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter(
-                "fleet.legs.fresh" if fresh else "fleet.legs.stale"
-            ).inc()
+            self._tr.end(leg.span, now, _K_LEG_DONE, leg.status, answer.miss)
+        mi = self._mi
+        if mi is not None:
+            (mi.legs_fresh if fresh else mi.legs_stale).inc()
             if answer.miss:
-                metrics.counter("fleet.legs.miss").inc()
-            metrics.histogram("fleet.leg.service_us").observe(
-                answer.service_us
-            )
+                mi.legs_miss.inc()
+            mi.leg_service.observe(answer.service_us)
 
     def _note_outcome(self, outcome: FleetOutcome, now: float) -> None:
-        metrics = self._metrics
-        if metrics is None:
+        mi = self._mi
+        if mi is None:
             return
-        metrics.counter(f"fleet.queries.{outcome.status.value}").inc()
-        if outcome.status in (FleetStatus.COMPLETE, FleetStatus.DEGRADED):
-            metrics.histogram("fleet.latency_us").observe(
-                outcome.latency_us
-            )
+        status = outcome.status
+        mi.queries[status].inc()
+        if status in _ANSWERED:
+            mi.latency.observe(outcome.latency_us)
             if outcome.failovers:
-                metrics.counter("fleet.failovers").inc(outcome.failovers)
+                mi.failovers.inc(outcome.failovers)
 
     # ------------------------------------------------------------------
     # Report

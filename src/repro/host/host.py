@@ -62,6 +62,19 @@ _FAILED = QueryStatus.FAILED
 _CLOSED = BreakerState.CLOSED
 _OPEN = BreakerState.OPEN
 _QUARANTINED = HealthState.QUARANTINED
+#: Status text per status, resolved once (an ``Enum.value`` read is a
+#: Python-level descriptor call).
+_STATUS_TEXT = {status: status.value for status in QueryStatus}
+
+# Argument names of the observation hooks (see repro.obs.tracer).
+_K_TEMPLATE = ("template",)
+_K_REPLICA = ("replica",)
+_K_ATTEMPT_END = ("ok", "damage", "cancelled")
+_K_ATTEMPT_DONE = ("replica", "ok", "damage")
+_K_REASON = ("reason",)
+_K_QUERY_END = ("status", "attempts", "hedges")
+_K_QUERY_ID = ("query_id",)
+_K_OUTCOME = ("query_id", "status", "arrival_us", "latency_us", "reason")
 
 
 @dataclass(slots=True)
@@ -106,6 +119,38 @@ class _QueryState:
     @property
     def absolute_deadline_us(self) -> Optional[float]:
         return self.deadline_abs
+
+
+class _HostInstruments:
+    """The host's per-event metric instruments, resolved at attach."""
+
+    __slots__ = (
+        "queue_depth", "attempts", "hedges_issued", "attempts_cancelled",
+        "hedges_cancelled", "attempt_failures", "queries", "retries",
+        "served_latency", "busy", "outcome",
+    )
+
+    def __init__(self, metrics, num_replicas: int) -> None:
+        resolve = metrics.resolve
+        self.queue_depth = resolve("gauge", "host.queue_depth")
+        self.attempts = resolve("counter", "host.attempts")
+        self.hedges_issued = resolve("counter", "host.hedges_issued")
+        self.attempts_cancelled = resolve(
+            "counter", "host.attempts_cancelled")
+        self.hedges_cancelled = resolve("counter", "host.hedges_cancelled")
+        self.attempt_failures = resolve("counter", "host.attempt_failures")
+        self.queries = resolve("counter", "host.queries")
+        self.retries = resolve("counter", "host.retries")
+        self.served_latency = resolve(
+            "histogram", "host.served_latency_us")
+        self.busy = [
+            resolve("gauge", f"host.replica.{rid}.busy")
+            for rid in range(num_replicas)
+        ]
+        self.outcome = {
+            status: resolve("counter", f"host.outcome.{text}")
+            for status, text in _STATUS_TEXT.items()
+        }
 
 
 class ServingHost:
@@ -185,11 +230,16 @@ class ServingHost:
         self._tr = obs_tracer if obs_tracer.enabled else None
         self._metrics = metrics
         self._observed = self._tr is not None or metrics is not None
-        # Live-telemetry sink (duck-typed: anything with .emit(ts, kind,
-        # **fields), normally repro.obs.live.TelemetrySink).  Kept off
-        # the `_observed` flag on purpose: the sink is append-only and
-        # reads nothing back, so attaching one must leave the tracer/
-        # metrics paths — and the serving report — byte-identical.
+        self._mi = (
+            _HostInstruments(metrics, len(self._replicas))
+            if metrics is not None else None
+        )
+        # Live-telemetry sink (duck-typed: anything with .emit(ts,
+        # kind, names, *values), normally repro.obs.live.TelemetrySink).
+        # Kept off the `_observed` flag on purpose: the sink is
+        # append-only and reads nothing back, so attaching one must
+        # leave the tracer/metrics paths — and the serving report —
+        # byte-identical.
         self._sink = sink
         if self._tr is not None:
             tr = self._tr
@@ -265,7 +315,7 @@ class ServingHost:
             self._trace_arrival(state)
         if self._sink is not None:
             self._sink.emit(
-                self.sim.now, "arrival", query_id=state.query.query_id
+                self.sim.now, "arrival", _K_QUERY_ID, state.query.query_id
             )
         # Fast path: nothing waiting ahead and a replica free now —
         # dispatch directly, bypassing the (possibly zero-capacity)
@@ -340,7 +390,7 @@ class ServingHost:
         state.track = tr.track("queries", f"query {qid:05d}")
         state.span = tr.begin(
             state.track, f"query {qid}", self.sim.now,
-            template=state.query.template or "",
+            _K_TEMPLATE, state.query.template or "",
         )
 
     def _note_queue_depth(self) -> None:
@@ -349,8 +399,8 @@ class ServingHost:
         now = self.sim.now
         if self._tr is not None:
             self._tr.counter(self._tk_queue, "queue_depth", now, depth)
-        if self._metrics is not None:
-            self._metrics.gauge("host.queue_depth").set(now, depth)
+        if self._mi is not None:
+            self._mi.queue_depth.set(now, depth)
 
     def _note_enqueued(self, state: _QueryState) -> None:
         if self._tr is not None and state.span is not None:
@@ -373,21 +423,21 @@ class ServingHost:
             label = "hedge" if attempt.hedged else "attempt"
             attempt.span = tr.begin(
                 track, f"{label} q{state.query.query_id}", now,
-                replica=rid,
+                _K_REPLICA, rid,
             )
             tr.counter(track, "busy", now, 1)
             if state.span is not None:
                 tr.instant(
                     state.track,
                     "hedge-issued" if attempt.hedged else "attempt-start",
-                    now, replica=rid,
+                    now, _K_REPLICA, rid,
                 )
-        if self._metrics is not None:
-            m = self._metrics
-            m.counter("host.attempts").inc()
+        mi = self._mi
+        if mi is not None:
+            mi.attempts.inc()
             if attempt.hedged:
-                m.counter("host.hedges_issued").inc()
-            m.gauge(f"host.replica.{rid}.busy").set(now, 1)
+                mi.hedges_issued.inc()
+            mi.busy[rid].set(now, 1)
 
     def _note_attempt_end(
         self, attempt: _Attempt, cancelled: bool
@@ -402,24 +452,24 @@ class ServingHost:
             track = self._tk_replica[rid]
             tr.end(
                 attempt.span, now,
-                ok=result.ok, damage=result.damage, cancelled=cancelled,
+                _K_ATTEMPT_END, result.ok, result.damage, cancelled,
             )
             tr.counter(track, "busy", now, 0)
             if state.span is not None:
                 tr.instant(
                     state.track,
                     "attempt-cancelled" if cancelled else "attempt-done",
-                    now, replica=rid, ok=result.ok, damage=result.damage,
+                    now, _K_ATTEMPT_DONE, rid, result.ok, result.damage,
                 )
-        if self._metrics is not None:
-            m = self._metrics
+        mi = self._mi
+        if mi is not None:
             if cancelled:
-                m.counter("host.attempts_cancelled").inc()
+                mi.attempts_cancelled.inc()
                 if attempt.hedged:
-                    m.counter("host.hedges_cancelled").inc()
+                    mi.hedges_cancelled.inc()
             elif not result.ok:
-                m.counter("host.attempt_failures").inc()
-            m.gauge(f"host.replica.{rid}.busy").set(now, 0)
+                mi.attempt_failures.inc()
+            mi.busy[rid].set(now, 0)
 
     def _note_finalize(
         self,
@@ -434,26 +484,23 @@ class ServingHost:
             if state.queued_span is not None:
                 tr.end(state.queued_span, now)
                 state.queued_span = None
-            tr.instant(
-                state.track, status.value, now,
-                **({"reason": shed_reason} if shed_reason else {}),
-            )
+            text = _STATUS_TEXT[status]
+            if shed_reason:
+                tr.instant(state.track, text, now, _K_REASON, shed_reason)
+            else:
+                tr.instant(state.track, text, now)
             tr.end(
-                state.span, now,
-                status=status.value,
-                attempts=state.primary_attempts + state.hedges,
-                hedges=state.hedges,
+                state.span, now, _K_QUERY_END,
+                text, state.primary_attempts + state.hedges, state.hedges,
             )
-        if self._metrics is not None:
-            m = self._metrics
-            m.counter("host.queries").inc()
-            m.counter(f"host.outcome.{status.value}").inc()
+        mi = self._mi
+        if mi is not None:
+            mi.queries.inc()
+            mi.outcome[status].inc()
             if state.primary_attempts > 1:
-                m.counter("host.retries").inc(state.primary_attempts - 1)
+                mi.retries.inc(state.primary_attempts - 1)
             if status is _SERVED:
-                m.histogram("host.served_latency_us").observe(
-                    now - state.query.arrival_us
-                )
+                mi.served_latency.observe(now - state.query.arrival_us)
 
     def _replay_lifecycle(self) -> None:
         """Replay the lifecycle ledgers into every attached observer.
@@ -477,7 +524,7 @@ class ServingHost:
                     tr.instant(
                         self._tk_replica[rid],
                         f"breaker-{t.to_state.value}",
-                        t.time_us, from_state=t.from_state.value,
+                        t.time_us, ("from_state",), t.from_state.value,
                     )
                 if m is not None:
                     m.counter("host.breaker.transitions").inc()
@@ -485,9 +532,9 @@ class ServingHost:
                         m.counter("host.breaker.opens").inc()
                 if emit is not None:
                     emit(
-                        t.time_us, "breaker", replica=rid,
-                        from_state=t.from_state.value,
-                        to_state=t.to_state.value,
+                        t.time_us, "breaker",
+                        ("replica", "from_state", "to_state"),
+                        rid, t.from_state.value, t.to_state.value,
                     )
         for rid, health in enumerate(self._health):
             records = (
@@ -499,8 +546,8 @@ class ServingHost:
                     tr.instant(
                         self._tk_replica[rid],
                         f"health-{t.to_state.value}",
-                        t.time_us, from_state=t.from_state.value,
-                        phi=round(t.phi, 3), reason=t.reason,
+                        t.time_us, ("from_state", "phi", "reason"),
+                        t.from_state.value, round(t.phi, 3), t.reason,
                     )
                 if m is not None:
                     m.counter("host.health.transitions").inc()
@@ -510,7 +557,7 @@ class ServingHost:
                         m.counter("host.health.readmissions").inc()
                 if emit is not None:
                     ts, fields = records[i]
-                    emit(ts, "health", **fields)
+                    emit(ts, "health", tuple(fields), *fields.values())
         if self._health and m is not None:
             probes = sum(h.probes for h in self._health)
             if probes:
@@ -520,10 +567,11 @@ class ServingHost:
                 tr.instant(
                     self._tk_replica[rid],
                     "audit-ok" if ok else "audit-mismatch",
-                    when, query=qid,
+                    when, ("query",), qid,
                 )
             if emit is not None:
-                emit(when, "audit", query_id=qid, replica=rid, ok=ok)
+                emit(when, "audit", ("query_id", "replica", "ok"),
+                     qid, rid, ok)
         if self._audit_log and m is not None:
             m.counter("host.audit.checks").inc(self.audit_checks)
             if self.audit_mismatches:
@@ -803,12 +851,8 @@ class ServingHost:
         arrival = query.arrival_us
         if self._sink is not None:
             self._sink.emit(
-                now, "query",
-                query_id=query.query_id,
-                status=status.value,
-                arrival_us=arrival,
-                latency_us=now - arrival,
-                reason=shed_reason,
+                now, "query", _K_OUTCOME, query.query_id,
+                _STATUS_TEXT[status], arrival, now - arrival, shed_reason,
             )
         primaries = state.primary_attempts
         hedges = state.hedges

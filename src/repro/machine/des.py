@@ -269,12 +269,12 @@ class Timeout:
 
 
 #: A unit of work submitted to a server: the tuple
-#: ``(service_time, on_start, on_done, args)``.  ``on_start()`` (or
-#: ``None``) runs as service begins; ``on_done(*args)`` (or ``None``)
-#: runs when it completes, so hot paths pass one reusable bound method
-#: plus its arguments instead of building a closure per job.
-Job = Tuple[float, Optional[Callable[[], None]], Optional[Callable[..., None]],
-            Tuple[Any, ...]]
+#: ``(service_time, on_start, on_done, args)``.  ``on_start(*args)``
+#: (or ``None``) runs as service begins; ``on_done(*args)`` (or
+#: ``None``) runs when it completes, so hot paths pass reusable bound
+#: methods plus their arguments instead of building a closure per job.
+Job = Tuple[float, Optional[Callable[..., None]],
+            Optional[Callable[..., None]], Tuple[Any, ...]]
 
 
 class Server:
@@ -346,7 +346,7 @@ class Server:
         service, on_start, on_done, args = job
         self._busy = True
         if on_start is not None:
-            on_start()
+            on_start(*args)
         if self.penalty_hook is not None:
             service += self.penalty_hook(service)
         if service < 0.0:
@@ -484,7 +484,7 @@ class ServerPool:
         service, on_start, on_done, args = job
         self._busy += 1
         if on_start is not None:
-            on_start()
+            on_start(*args)
         if self.penalty_hook is not None:
             service += self.penalty_hook(service)
         if service < 0.0:

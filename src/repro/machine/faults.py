@@ -794,16 +794,17 @@ class FaultInjector:
         degraded with before any recovery event fires.
         """
         for cid in sorted(self.failed_clusters):
-            tracer.instant(track, "cluster-offline", ts, cluster=cid)
+            tracer.instant(track, "cluster-offline", ts, ("cluster",), cid)
         for a, b in sorted(self.dead_links):
-            tracer.instant(track, "link-dead", ts, link=f"{a}-{b}")
+            tracer.instant(track, "link-dead", ts, ("link",), f"{a}-{b}")
         if self.stats.mus_lost:
             for cid, effective in enumerate(self.effective_mu_counts):
                 lost = self.configured_mu_counts[cid] - effective
                 if lost > 0 and cid not in self.failed_clusters:
                     tracer.instant(
                         track, "mus-lost", ts,
-                        cluster=cid, lost=lost, surviving_mus=effective,
+                        ("cluster", "lost", "surviving_mus"),
+                        cid, lost, effective,
                     )
 
     # -- runtime sampling -------------------------------------------------

@@ -63,7 +63,7 @@ class MonitorRun:
 
     spec: MonitorSpec
     horizon_us: float
-    events: List[TelemetryEvent]
+    events: Sequence[TelemetryEvent]
     truth: Tuple[FaultWindow, ...]
     windows: List[WindowSnapshot]
     evaluations: List[RuleEvaluation]
@@ -112,7 +112,7 @@ def run_pipeline(
     return MonitorRun(
         spec=spec,
         horizon_us=horizon_us,
-        events=list(events),
+        events=events,
         truth=tuple(truth),
         windows=windows,
         evaluations=evaluations,
@@ -250,46 +250,42 @@ def events_from_trace(document: Dict) -> List[TelemetryEvent]:
 
     model = read_document(document)
     sink = TelemetrySink()
+    emit = sink.emit
     for process in ("queries", "fleet-queries"):
         for track in model.tracks_of(process):
             for span in track.spans:
                 qid = span.args.get("query_id")
-                sink.emit(span.start_us, "arrival", query_id=qid)
-                status = span.args.get("status", "unknown")
-                sink.emit(
+                emit(span.start_us, "arrival", ("query_id",), qid)
+                emit(
                     span.end_us, "query",
-                    query_id=qid,
-                    status=status,
-                    arrival_us=span.start_us,
-                    latency_us=span.duration_us,
+                    ("query_id", "status", "arrival_us", "latency_us"),
+                    qid, span.args.get("status", "unknown"),
+                    span.start_us, span.duration_us,
                 )
     for process in ("host", "fleet"):
         for track in model.tracks_of(process):
             for instant in track.instants:
                 name = instant.name
+                args = instant.args
                 if name.startswith("breaker-"):
-                    sink.emit(
+                    emit(
                         instant.ts_us, "breaker",
-                        from_state=instant.args.get("from_state"),
-                        to_state=name[len("breaker-"):],
+                        ("from_state", "to_state"),
+                        args.get("from_state"), name[len("breaker-"):],
                     )
                 elif name.startswith("health-"):
-                    sink.emit(
+                    emit(
                         instant.ts_us, "health",
-                        from_state=instant.args.get("from_state"),
-                        to_state=name[len("health-"):],
-                        reason=instant.args.get("reason"),
+                        ("from_state", "to_state", "reason"),
+                        args.get("from_state"), name[len("health-"):],
+                        args.get("reason"),
                     )
                 elif name.startswith("audit-"):
-                    sink.emit(
-                        instant.ts_us, "audit",
-                        ok=name == "audit-ok",
-                    )
+                    emit(instant.ts_us, "audit", ("ok",), name == "audit-ok")
                 elif name.startswith("region-"):
-                    sink.emit(
-                        instant.ts_us, "fault",
-                        event=name,
-                        region=instant.args.get("region"),
+                    emit(
+                        instant.ts_us, "fault", ("event", "region"),
+                        name, args.get("region"),
                     )
     return sink.ordered()
 

@@ -15,7 +15,8 @@ and rides along inside the Chrome trace JSON under the top-level
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 
 #: Default histogram bucket upper bounds, in simulated µs.  Chosen to
@@ -58,7 +59,7 @@ class Gauge:
     """
 
     __slots__ = (
-        "name", "samples", "max_points",
+        "name", "max_points", "_ts", "_values",
         "_stride", "_count", "_last", "_peak",
     )
 
@@ -68,7 +69,9 @@ class Gauge:
                 f"gauge max_points must be >= 2: {max_points}"
             )
         self.name = name
-        self.samples: List[Tuple[float, float]] = []
+        #: The retained samples, column-wise (see :attr:`samples`).
+        self._ts: List[float] = []
+        self._values: List[float] = []
         self.max_points = max_points
         self._stride = 1
         self._count = 0
@@ -83,12 +86,19 @@ class Gauge:
             self._peak = value
         if (self._count - 1) % self._stride:
             return
-        self.samples.append((ts, value))
-        if self.max_points is not None and len(self.samples) > self.max_points:
+        self._ts.append(ts)
+        self._values.append(value)
+        if self.max_points is not None and len(self._ts) > self.max_points:
             # Keep even indices: exactly the observations at the
             # doubled stride, so future appends stay evenly spaced.
-            del self.samples[1::2]
+            del self._ts[1::2]
+            del self._values[1::2]
             self._stride *= 2
+
+    @property
+    def samples(self) -> List[Tuple[float, float]]:
+        """The retained ``(ts, value)`` samples, oldest first."""
+        return list(zip(self._ts, self._values))
 
     @property
     def observations(self) -> int:
@@ -127,13 +137,9 @@ class Histogram:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        """Add one observation to its bucket."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
+        """Add one observation to its bucket (the first bound at or
+        above it, else the +inf bucket)."""
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
 
@@ -199,6 +205,9 @@ class MetricsRegistry:
         #: Default retention cap applied to gauges created without an
         #: explicit ``max_points`` (None = keep every sample).
         self._gauge_max_points = gauge_max_points
+        #: Instruments made by :meth:`resolve` and not yet requested
+        #: by name, as ``id(instrument)``: listed only once used.
+        self._resolved: Set[int] = set()
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -206,6 +215,7 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
+        self._resolved.discard(id(instrument))
         return instrument
 
     def gauge(self, name: str, max_points: Optional[int] = None) -> Gauge:
@@ -227,6 +237,7 @@ class MetricsRegistry:
                 f"gauge {name!r} already exists with max_points "
                 f"{instrument.max_points}, requested {max_points}"
             )
+        self._resolved.discard(id(instrument))
         return instrument
 
     def histogram(
@@ -248,7 +259,35 @@ class MetricsRegistry:
                 f"histogram {name!r} already exists with bounds "
                 f"{instrument.bounds}, requested {tuple(bounds)}"
             )
+        self._resolved.discard(id(instrument))
         return instrument
+
+    def resolve(self, kind: str, name: str) -> Instrument:
+        """The ``kind`` (``"counter"``, ``"gauge"`` or ``"histogram"``)
+        instrument called ``name``, for a producer to hold from attach
+        time on instead of looking it up per event.
+
+        Resolving does not list the instrument: :meth:`as_dict` and
+        :meth:`summary` show it once it records something (a non-zero
+        count, a sample, an observation) or is requested by name, as
+        if it had been created at that first use.
+        """
+        table = {"counter": self._counters, "gauge": self._gauges,
+                 "histogram": self._histograms}[kind]
+        instrument = table.get(name)
+        if instrument is None:
+            instrument = getattr(self, kind)(name)
+            self._resolved.add(id(instrument))
+        return instrument
+
+    def _listed(self, table: Dict[str, Instrument]) -> List[Tuple[str, Any]]:
+        """``(name, instrument)`` pairs to export, sorted by name."""
+        resolved = self._resolved
+        return [
+            (name, instrument)
+            for name, instrument in sorted(table.items())
+            if id(instrument) not in resolved or _used(instrument)
+        ]
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
@@ -260,19 +299,21 @@ class MetricsRegistry:
         """
         return {
             "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
+                name: c.value for name, c in self._listed(self._counters)
             },
             "gauges": {
                 name: {
-                    "samples": [[ts, value] for ts, value in g.samples],
+                    # (ts, value) pairs; JSON renders each as a
+                    # [ts, value] array.
+                    "samples": g.samples,
                     "last": g.last,
                     "peak": g.peak,
                 }
-                for name, g in sorted(self._gauges.items())
+                for name, g in self._listed(self._gauges)
             },
             "histograms": {
                 name: h.as_dict()
-                for name, h in sorted(self._histograms.items())
+                for name, h in self._listed(self._histograms)
             },
         }
 
@@ -280,13 +321,25 @@ class MetricsRegistry:
         """Headline view: counter totals + gauge peaks + histogram means."""
         return {
             "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
+                name: c.value for name, c in self._listed(self._counters)
             },
             "gauge_peaks": {
-                name: g.peak for name, g in sorted(self._gauges.items())
+                name: g.peak for name, g in self._listed(self._gauges)
             },
             "histogram_means": {
                 name: round(h.mean, 3)
-                for name, h in sorted(self._histograms.items())
+                for name, h in self._listed(self._histograms)
             },
         }
+
+
+Instrument = Union[Counter, Gauge, Histogram]
+
+
+def _used(instrument: Instrument) -> bool:
+    """Whether a resolved instrument has recorded anything yet."""
+    if isinstance(instrument, Counter):
+        return instrument.value != 0
+    if isinstance(instrument, Gauge):
+        return instrument.observations > 0
+    return instrument.total > 0

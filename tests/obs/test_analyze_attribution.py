@@ -38,7 +38,7 @@ def _query_capture():
     """
     tracer = Tracer()
     q = tracer.track("queries", "query 00007")
-    tracer.begin(q, "query 7", 0.0)
+    root = tracer.begin(q, "query 7", 0.0)
     tracer.span(q, "queued", 0.0, 10.0)
     r0 = tracer.track("host", "replica 00")
     r1 = tracer.track("host", "replica 01")
@@ -46,10 +46,7 @@ def _query_capture():
     tracer.span(r0, "attempt q7", 30.0, 40.0)   # 30..70 primary 2 (retry)
     tracer.span(r1, "hedge q7", 50.0, 30.0)     # 50..80 hedge, wins
     # Close the root at the hedge's completion.
-    for span in tracer.spans:
-        if span[1] == "query 7":
-            span[3] = 80.0
-            span[4] = {"status": "served", "attempts": 2, "hedges": 1}
+    tracer.end(root, 80.0, ("status", "attempts", "hedges"), "served", 2, 1)
     return tracer
 
 
@@ -159,15 +156,15 @@ def _machine_capture():
     h0 = tracer.begin(lane0, "PROPAGATE #1", 0.0)
     tracer.span(lane0, "broadcast", 0.0, 4.0)
     tracer.span(lane0, "wave", 4.0, 10.0)
-    tracer.end(h0, 20.0, opcode="PROPAGATE", alpha=12)
+    tracer.end(h0, 20.0, ("opcode", "alpha"), "PROPAGATE", 12)
     h1 = tracer.begin(lane1, "PROPAGATE #2", 5.0)
     tracer.span(lane1, "wave", 5.0, 10.0)
-    tracer.end(h1, 25.0, opcode="PROPAGATE", alpha=30)
+    tracer.end(h1, 25.0, ("opcode", "alpha"), "PROPAGATE", 30)
     icn = tracer.track("machine", "icn")
-    tracer.instant(icn, "msg-send", 3.0, latency_us=1.5)
-    tracer.instant(icn, "msg-send", 7.0, latency_us=2.5)
+    tracer.instant(icn, "msg-send", 3.0, ("latency_us",), 1.5)
+    tracer.instant(icn, "msg-send", 7.0, ("latency_us",), 2.5)
     faults = tracer.track("machine", "faults")
-    tracer.instant(faults, "scp-timeout", 9.0, penalty_us=100.0)
+    tracer.instant(faults, "scp-timeout", 9.0, ("penalty_us",), 100.0)
     tracer.instant(faults, "checkpoint-replay", 12.0)
     return tracer
 

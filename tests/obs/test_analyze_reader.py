@@ -16,7 +16,7 @@ def _nested_capture():
     tracer.span(track, "inner-a", 10.0, 30.0)    # 10..40
     tracer.span(track, "inner-b", 50.0, 40.0)    # 50..90
     tracer.span(track, "leaf", 20.0, 10.0)       # 20..30
-    tracer.instant(track, "ping", 55.0, n=1)
+    tracer.instant(track, "ping", 55.0, ("n",), 1)
     tracer.counter(track, "depth", 5.0, 1)
     tracer.counter(track, "depth", 60.0, 2)
     return tracer
@@ -45,7 +45,7 @@ class TestReader:
     def test_multi_series_counters_split(self):
         tracer = Tracer()
         track = tracer.track("p", "t")
-        tracer.counter(track, "occupancy", 1.0, {"busy": 2, "idle": 3})
+        tracer.series(track, "occupancy", 1.0, ("busy", "idle"), 2, 3)
         model = read_document(export_chrome_json(tracer))
         counters = model.track("p", "t").counters
         assert counters == {

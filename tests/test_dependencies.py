@@ -14,7 +14,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -24,7 +23,7 @@ def declared_dependencies():
     """Distribution names in ``[project] dependencies``, normalized.
 
     Parsed with a regex rather than ``tomllib``, which Python 3.10
-    lacks.
+    (the declared floor) lacks.
     """
     text = (ROOT / "pyproject.toml").read_text()
     project = re.search(r"^\[project\]\s*$(.*?)(?=^\[|\Z)", text, re.M | re.S)
@@ -40,6 +39,16 @@ def declared_dependencies():
     return names
 
 
+def declared_python_floor():
+    """The ``(major, minor)`` of ``requires-python = ">=X.Y"``."""
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(
+        r"^requires-python\s*=\s*[\"']>=\s*(\d+)\.(\d+)", text, re.M
+    )
+    assert match, "pyproject.toml declares no requires-python floor"
+    return int(match.group(1)), int(match.group(2))
+
+
 def top_level_imports(path):
     """Top-level module of every absolute import in one source file."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -51,9 +60,18 @@ def top_level_imports(path):
             yield node.lineno, node.module.split(".")[0]
 
 
+def test_python_floor_covers_the_syntax_in_use():
+    # ``@dataclass(slots=True)`` needs Python 3.10.
+    sources = sorted((SRC / "repro").rglob("*.py"))
+    uses_310 = [
+        str(path.relative_to(ROOT)) for path in sources
+        if re.search(r"dataclass\([^)]*slots=True", path.read_text())
+    ]
+    assert uses_310
+    assert declared_python_floor() >= (3, 10), uses_310[:3]
+
+
 def test_every_import_is_stdlib_repro_or_declared():
-    if not hasattr(sys, "stdlib_module_names"):
-        pytest.skip("sys.stdlib_module_names needs Python 3.10+")
     allowed = set(sys.stdlib_module_names) | {"repro"}
     allowed |= declared_dependencies()
     sources = sorted((SRC / "repro").rglob("*.py"))
