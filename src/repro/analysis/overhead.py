@@ -18,11 +18,10 @@ cluster sweep and verify/render the scaling claims.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..machine.report import MachineRunReport, OverheadBreakdown
+from ..machine.report import OverheadBreakdown
 
 COMPONENTS = ("broadcast", "communication", "synchronization", "collection")
 

@@ -8,7 +8,7 @@ Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Mapping
 
 from ..isa.instructions import Category
 

@@ -12,7 +12,7 @@ floods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ..isa.instructions import (
     AndMarker,

@@ -11,7 +11,6 @@ which is what the CM-2's per-step controller round-trip multiplies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
 
 from ..isa.instructions import (
     AndMarker,
@@ -19,13 +18,11 @@ from ..isa.instructions import (
     CollectNode,
     Propagate,
     SearchNode,
-    binary_marker,
     complex_marker,
 )
 from ..isa.program import SnapProgram
 from ..isa.rules import chain, step
-from ..network.generator import HIERARCHY_ROOT, generate_hierarchy_kb
-from ..network.graph import SemanticNetwork
+from ..network.generator import HIERARCHY_ROOT
 
 M_SRC = complex_marker(20)
 M_INHERIT = complex_marker(21)

@@ -18,7 +18,7 @@ meaning representation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .kbgen import DomainKB
 from .lexicon import tokenize

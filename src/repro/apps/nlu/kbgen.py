@@ -21,8 +21,8 @@ count grows with KB size (Fig. 20).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ...network.builder import KnowledgeBaseBuilder
 from ...network.graph import SemanticNetwork

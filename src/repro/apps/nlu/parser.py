@@ -47,7 +47,6 @@ from ...isa.instructions import (
     ClearMarker,
     CollectMarker,
     CollectNode,
-    Instruction,
     MarkerCreate,
     NotMarker,
     OrMarker,
@@ -61,7 +60,7 @@ from ...isa.program import SnapProgram
 from ...isa.rules import chain, comb, step
 from ...network.node import Color
 from .kbgen import DomainKB
-from .phrasal import Phrase, PhrasalParser, PhrasalResult
+from .phrasal import Phrase, PhrasalParser
 
 # Marker register assignments (see module docstring).
 M_ACT = complex_marker(0)

@@ -28,7 +28,6 @@ from ..isa.instructions import (
     AndMarker,
     ClearMarker,
     CollectMarker,
-    CollectNode,
     OrMarker,
     Propagate,
     SearchColor,

@@ -28,10 +28,10 @@ would execute marker propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from ..core.state import MachineState
-from ..isa.instructions import Category, Instruction, Propagate
+from ..isa.instructions import Category, Propagate
 from ..isa.program import SnapProgram
 from ..core.engine import FunctionalEngine
 from ..network.graph import SemanticNetwork

@@ -40,6 +40,7 @@ def propagate(
     ctx = state.make_context(instruction)
     work = WorkReport()
     queue = deque()
+    deliver = state.deliver
 
     for cid in range(state.num_clusters):
         seeds, seed_work = state.seeds(ctx, cid)
@@ -47,17 +48,29 @@ def propagate(
         # Seeds are expanded directly: the origin node re-emits the
         # marker without receiving it.
         for seed in seeds:
-            local_out, remote_out = state.expand(ctx, seed, work)
+            local_out, remote_out, slots, fp_ops = deliver(
+                ctx, seed, seed=True)
+            work.slots += slots
+            work.fp_ops += fp_ops
+            work.messages += len(remote_out)
             queue.extend(local_out)
             queue.extend(remote_out)
 
+    arrivals = slots_total = fp_total = messages = 0
     while queue:
-        arrival = queue.popleft()
-        if not state.deliver(ctx, arrival, work):
-            continue
-        local_out, remote_out = state.expand(ctx, arrival, work)
+        local_out, remote_out, slots, fp_ops = deliver(ctx, queue.popleft())
+        arrivals += 1
+        slots_total += slots
+        fp_total += fp_ops
+        messages += len(remote_out)
         queue.extend(local_out)
         queue.extend(remote_out)
+    # Each delivery visits one node and sets one marker bit.
+    work.nodes += arrivals
+    work.sets += arrivals
+    work.slots += slots_total
+    work.fp_ops += fp_total
+    work.messages += messages
 
     return PropagationOutcome(
         work=work,

@@ -31,13 +31,14 @@ sequence" reading of marker values, independent of message ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from ..isa.functions import FunctionRegistry, HopFunction, always_alive, condition
 from ..isa.instructions import (
-    NUM_COMPLEX_MARKERS,
     AndMarker,
     ClearMarker,
     CollectColor,
@@ -113,22 +114,20 @@ class WorkReport:
         )
 
 
-@dataclass(slots=True)
-class Arrival:
-    """A marker delivery pending at a cluster.
+#: A marker delivery pending at a cluster: ``(cluster, local, state,
+#: value, origin, hops)``.  The same tuple serves a local delivery and a
+#: remote one: the timed machine carries a remote arrival across the
+#: interconnect as its activation message.  Its level is the
+#: propagation's (:attr:`PropagationContext.level`).
+Arrival = Tuple[int, int, int, float, int, int]
 
-    The same record serves a local delivery and a remote one: the
-    timed machine carries a remote :class:`Arrival` across the
-    interconnect as its activation message.
-    """
+#: What :meth:`MachineState.deliver` returns: ``(local, remote, slots,
+#: fp_ops)`` -- the deliveries it emits on this cluster and on others,
+#: the relation slots it scanned and its floating-point updates.
+Delivery = Tuple[Sequence[Arrival], Sequence[Arrival], int, int]
 
-    cluster: int
-    local: int
-    state: int
-    value: float
-    origin: int
-    level: int
-    hops: int
+#: A delivery that expands nothing, without and with a register write.
+_NO_EXPANSION: Tuple[Delivery, Delivery] = (((), (), 0, 0), ((), (), 0, 1))
 
 
 #: Compiled rule: state -> ((relation id, next state), ...).
@@ -140,7 +139,7 @@ CompiledRule = Dict[int, Tuple[Tuple[int, int], ...]]
 MAX_EXPANSIONS = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class PropagationContext:
     """Per-PROPAGATE bookkeeping shared by all clusters."""
 
@@ -149,9 +148,10 @@ class PropagationContext:
     compiled: CompiledRule
     hop: HopFunction
     level: int = 0
-    #: (cluster, local, state) -> best value already expanded from.
-    expanded: Dict[Tuple[int, int, int], float] = field(default_factory=dict)
-    expansions: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
+    #: (cluster, local, state) -> (times expanded, value last expanded
+    #: from): the expansion cap and the re-expansion test in one entry.
+    expanded: Dict[Tuple[int, int, int], Tuple[int, float]] = field(
+        default_factory=dict)
     #: Safety valve for pathological negative-cost cycles.
     max_expansions: int = MAX_EXPANSIONS
     # statistics
@@ -159,6 +159,17 @@ class PropagationContext:
     remote_messages: int = 0
     max_hops: int = 0
     alpha: int = 0  # number of seed (source-activated) nodes
+    # Per-arrival constants, derived from the fields above.
+    marker: int = field(init=False)
+    valued: bool = field(init=False)
+    combine: Callable[[float, float], float] = field(init=False)
+    alive: Optional[Callable[[float], bool]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.marker = self.instr.marker2
+        self.valued = is_complex(self.marker)
+        self.combine = self.hop.combine  # hop.apply without its frame
+        self.alive = None if self.hop.alive is always_alive else self.hop.alive
 
 
 class MachineState:
@@ -477,56 +488,76 @@ class MachineState:
 
         Returns pseudo-arrivals at the origin nodes themselves (state =
         rule initial, marker2 not set at origins) that the executor
-        expands.
+        expands with ``deliver(ctx, seed, seed=True)``.
         """
         tables = self.clusters[cid]
         marker = ctx.instr.marker1
         lids = tables.status.nodes_with_array(marker)
         values = tables.node_table.gather(marker, lids)[0]
         to_global = tables.to_global
-        initial, level = ctx.rule.initial_state, ctx.level
+        initial = ctx.rule.initial_state
         out = [
-            Arrival(cid, lid, initial, value, to_global[lid], level, 0)
+            (cid, lid, initial, value, to_global[lid], 0)
             for lid, value in zip(lids.tolist(), values.tolist())
         ]
         ctx.alpha += len(out)
         return out, WorkReport(words=tables.status.num_words, nodes=len(out))
 
-    def expand(
-        self, ctx: PropagationContext, arrival: Arrival, work: WorkReport
-    ) -> Tuple[List[Arrival], List[Arrival]]:
-        """Expand propagation from a node: scan links, emit deliveries.
+    def deliver(
+        self, ctx: PropagationContext, arrival: Arrival, seed: bool = False
+    ) -> Delivery:
+        """One marker hop: set marker-2 at the arrival's node, then
+        expand along its links if the node should re-emit.
 
-        Returns ``(local, remote)`` deliveries: those on this cluster,
-        and those on other clusters, which the CU/ICN transports as
-        activation messages.  The work is added into ``work``, the
-        record of the MU task doing the expansion.
+        Expansion happens on first arrival at a (node, rule-state), or
+        when a strictly smaller complex-marker value arrives (min-cost
+        fixpoint semantics).  A ``seed`` is an origin node: it expands
+        without receiving the marker.  Returns the :data:`Delivery`;
+        the caller counts one node visit and one marker set per
+        non-seed delivery and one message per remote arrival.
         """
-        key = (arrival.cluster, arrival.local, arrival.state)
-        count = ctx.expansions.get(key, 0)
+        cluster, local, state, value, origin, hops = arrival
+        tables = self.clusters[cluster]
+        key = (cluster, local, state)
+        expanded = ctx.expanded
+        record = expanded.get(key)
+        fp_ops = 0
+        if not seed:
+            ctx.total_arrivals += 1
+            if hops > ctx.max_hops:
+                ctx.max_hops = hops
+            marker = ctx.marker
+            bits = tables.status.bits
+            word = local >> 5  # divmod by WORD_BITS == 32
+            old = bits.item(marker, word)
+            mask = 1 << (local & 31)
+            was_clear = not old & mask
+            if was_clear:
+                bits[marker, word] = old | mask
+            if ctx.valued:
+                registers = tables.node_table
+                if was_clear or value < registers.value.item(marker, local):
+                    registers.set_value(local, marker, value, origin)
+                    fp_ops = 1
+                if record is not None and not value < record[1]:
+                    return _NO_EXPANSION[fp_ops]
+            elif record is not None:
+                return _NO_EXPANSION[0]
+        count = 0 if record is None else record[0]
         if count >= ctx.max_expansions:
-            return [], []
-        ctx.expansions[key] = count + 1
-        ctx.expanded[key] = arrival.value
-
-        moves = ctx.compiled.get(arrival.state, ())
+            return _NO_EXPANSION[fp_ops]
+        expanded[key] = (count + 1, value)
+        moves = ctx.compiled.get(state)
         if not moves:
-            return [], []
+            return _NO_EXPANSION[fp_ops]
 
-        hop = ctx.hop
-        combine = hop.combine  # hop.apply without its extra frame
-        alive = None if hop.alive is always_alive else hop.alive
-        cluster = arrival.cluster
-        value = arrival.value
-        origin = arrival.origin
-        level = arrival.level
-        hops = arrival.hops + 1
-        links = iter(self.clusters[cluster].relations.links_of(arrival.local))
-        work.slots += next(links)
-
+        combine = ctx.combine
+        alive = ctx.alive
+        hops += 1
+        links = iter(tables.relations.links_of(local))
+        slots = next(links)
         local_out: List[Arrival] = []
         remote_out: List[Arrival] = []
-        fp_ops = 0
         for relation, dest_cluster, dest_local, _gid, weight in zip(
             links, links, links, links, links
         ):
@@ -537,50 +568,14 @@ class MachineState:
                 fp_ops += 1
                 if alive is not None and not alive(new_value):
                     continue
-                out = Arrival(dest_cluster, dest_local, next_state,
-                              new_value, origin, level, hops)
+                out = (dest_cluster, dest_local, next_state, new_value,
+                       origin, hops)
                 if dest_cluster == cluster:
                     local_out.append(out)
                 else:
                     remote_out.append(out)
-        work.fp_ops += fp_ops
-        work.messages += len(remote_out)
         ctx.remote_messages += len(remote_out)
-        return local_out, remote_out
-
-    def deliver(
-        self, ctx: PropagationContext, arrival: Arrival, work: WorkReport
-    ) -> bool:
-        """Set marker-2 at the destination; decide whether to re-expand.
-
-        Returns whether to expand, adding the work into ``work``.
-        Expansion happens on first arrival at a (node, rule-state), or
-        when a strictly smaller complex-marker value arrives (min-cost
-        fixpoint semantics).
-        """
-        marker = ctx.instr.marker2
-        local = arrival.local
-        tables = self.clusters[arrival.cluster]
-        work.nodes += 1
-        work.sets += 1
-        ctx.total_arrivals += 1
-        if arrival.hops > ctx.max_hops:
-            ctx.max_hops = arrival.hops
-
-        was_clear = tables.status.set(marker, local)
-        # is_complex(marker), inlined on the per-arrival path.
-        valued = 0 <= marker < NUM_COMPLEX_MARKERS
-        if valued:
-            registers = tables.node_table
-            if was_clear or arrival.value < registers.get_value(local, marker):
-                registers.set_value(local, marker, arrival.value,
-                                    arrival.origin)
-                work.fp_ops += 1
-
-        key = (arrival.cluster, local, arrival.state)
-        if key not in ctx.expanded:
-            return True
-        return valued and arrival.value < ctx.expanded[key]
+        return local_out, remote_out, slots, fp_ops
 
     # ------------------------------------------------------------------
     # Boolean operations (word-wise over the status table)
@@ -749,11 +744,10 @@ class MachineState:
     ) -> Tuple[List[Tuple[int, str]], WorkReport]:
         """Collect (gid, name) for locally marked nodes."""
         tables = self.clusters[cid]
-        to_global, node_name = tables.to_global, self.node_name
-        out = [
-            (to_global[lid], node_name(to_global[lid]))
-            for lid in tables.status.nodes_with(instr.marker)
-        ]
+        to_global = tables.to_global
+        gids = [to_global[lid]
+                for lid in tables.status.nodes_with(instr.marker)]
+        out = list(zip(gids, self.network.names_of(gids)))
         return out, WorkReport(words=tables.status.num_words, nodes=len(out))
 
     def collect_marker(

@@ -74,71 +74,74 @@ class MarkerStatusTable:
     def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
         self.num_words = max(1, -(-num_nodes // WORD_BITS))
-        self._bits = np.zeros((NUM_MARKERS, self.num_words), dtype=np.uint32)
+        #: The status words, one row per marker.  The per-arrival
+        #: delivery path (:meth:`repro.core.state.MachineState.deliver`)
+        #: reads and writes single words of it directly.
+        self.bits = np.zeros((NUM_MARKERS, self.num_words), dtype=np.uint32)
         self._tail_mask = _tail_mask(num_nodes)
 
     # -- single-bit operations --------------------------------------------
     def set(self, marker: int, local: int) -> bool:
         """Set marker bit; returns True if it was previously clear."""
         word, bit = divmod(local, WORD_BITS)
-        old = int(self._bits[marker, word])
+        old = self.bits.item(marker, word)
         mask = 1 << bit
         if old & mask:
             return False
-        self._bits[marker, word] = old | mask
+        self.bits[marker, word] = old | mask
         return True
 
     def clear(self, marker: int, local: int) -> None:
         """Clear one marker bit at a local node."""
         word, bit = divmod(local, WORD_BITS)
-        self._bits[marker, word] &= np.uint32(~np.uint32(1 << bit))
+        self.bits[marker, word] &= np.uint32(~np.uint32(1 << bit))
 
     def test(self, marker: int, local: int) -> bool:
         """Whether the marker bit is set at a local node."""
         word, bit = divmod(local, WORD_BITS)
-        return bool(self._bits[marker, word] >> np.uint32(bit) & 1)
+        return bool(self.bits[marker, word] >> np.uint32(bit) & 1)
 
     # -- row (whole-marker) operations ----------------------------------
     def row(self, marker: int) -> np.ndarray:
         """The raw status words of a marker (read-only view)."""
-        view = self._bits[marker]
+        view = self.bits[marker]
         view.flags.writeable = False
         return view
 
     def set_all(self, marker: int) -> None:
         """Set the marker at every node (word-wise)."""
-        self._bits[marker, :] = np.uint32(0xFFFFFFFF)
-        self._bits[marker, -1] = self._tail_mask
+        self.bits[marker, :] = np.uint32(0xFFFFFFFF)
+        self.bits[marker, -1] = self._tail_mask
 
     def clear_all(self, marker: int) -> None:
         """Clear the marker at every node (word-wise)."""
-        self._bits[marker, :] = 0
+        self.bits[marker, :] = 0
 
     def reset(self) -> None:
         """Clear every marker at every node (between serving queries)."""
-        self._bits[:, :] = 0
+        self.bits[:, :] = 0
 
     def and_rows(self, m1: int, m2: int, m3: int) -> int:
         """m3 := m1 & m2; returns words processed (timing unit)."""
-        np.bitwise_and(self._bits[m1], self._bits[m2], out=self._bits[m3])
+        np.bitwise_and(self.bits[m1], self.bits[m2], out=self.bits[m3])
         return self.num_words
 
     def or_rows(self, m1: int, m2: int, m3: int) -> int:
         """m3 := m1 | m2; returns words processed."""
-        np.bitwise_or(self._bits[m1], self._bits[m2], out=self._bits[m3])
+        np.bitwise_or(self.bits[m1], self.bits[m2], out=self.bits[m3])
         return self.num_words
 
     def not_row(self, m1: int, m2: int) -> int:
         """m2 := ~m1 (padding bits kept clear)."""
-        np.bitwise_not(self._bits[m1], out=self._bits[m2])
-        self._bits[m2, -1] &= self._tail_mask
+        np.bitwise_not(self.bits[m1], out=self.bits[m2])
+        self.bits[m2, -1] &= self._tail_mask
         return self.num_words
 
     # -- queries -----------------------------------------------------------
     def count(self, marker: int) -> int:
         """Population count of a marker row."""
         return int(
-            sum(bin(int(w)).count("1") for w in self._bits[marker])
+            sum(bin(int(w)).count("1") for w in self.bits[marker])
         )
 
     def nodes_with(self, marker: int) -> List[int]:
@@ -150,23 +153,23 @@ class MarkerStatusTable:
         """Set the marker at every listed local id (duplicates fine)."""
         words = locals_ // WORD_BITS
         masks = (np.uint32(1) << (locals_ % WORD_BITS)).astype(np.uint32)
-        np.bitwise_or.at(self._bits[marker], words, masks)
+        np.bitwise_or.at(self.bits[marker], words, masks)
 
     def nodes_with_array(self, marker: int) -> np.ndarray:
         """Local ids of nodes where the marker is set, as an ascending
         int64 array: the whole row's words unpacked at once."""
-        row = self._bits[marker].astype("<u4", copy=False)
+        row = self.bits[marker].astype("<u4", copy=False)
         return np.unpackbits(
             row.view(np.uint8), count=self.num_nodes, bitorder="little"
         ).nonzero()[0]
 
     def any(self, marker: int) -> bool:
         """Whether the marker is set anywhere."""
-        return bool(np.any(self._bits[marker]))
+        return bool(np.any(self.bits[marker]))
 
     def snapshot(self) -> np.ndarray:
         """Copy of the whole table (for equivalence testing)."""
-        return self._bits.copy()
+        return self.bits.copy()
 
     def grow(self, count: int = 1) -> None:
         """Extend capacity for ``count`` more nodes (runtime CREATE)."""
@@ -175,7 +178,7 @@ class MarkerStatusTable:
         if new_words > self.num_words:
             pad = np.zeros((NUM_MARKERS, new_words - self.num_words),
                            dtype=np.uint32)
-            self._bits = np.concatenate([self._bits, pad], axis=1)
+            self.bits = np.concatenate([self.bits, pad], axis=1)
             self.num_words = new_words
         self._tail_mask = _tail_mask(self.num_nodes)
 
@@ -203,7 +206,7 @@ class NodeTable:
     def set_value(self, local: int, marker: int, value: float,
                   origin: int = -1) -> None:
         """Store a complex marker's value/origin (no-op for binary)."""
-        if is_complex(marker):
+        if 0 <= marker < NUM_COMPLEX_MARKERS:  # is_complex, inlined
             self._dirty.add(marker)
             self.value[marker, local] = value
             self.origin[marker, local] = origin

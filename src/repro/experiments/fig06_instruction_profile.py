@@ -10,7 +10,6 @@ dominates execution time."*
 from __future__ import annotations
 
 from ..analysis.profiles import (
-    Profile,
     format_profile_table,
     profile_from_parse_results,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..analysis.speedup import SpeedupCurve, SweepPoint, knee
+from ..analysis.speedup import SpeedupCurve, SweepPoint
 from ..baselines.serial import SerialMachine
 from ..machine import SnapMachine, snap1_16cluster
 from .common import ExperimentResult, experiment, fmt_us, timed

@@ -13,7 +13,7 @@ from typing import Dict, List
 
 from ..analysis.profiles import CATEGORY_ORDER, category_latency
 from ..apps.nlu import MemoryBasedParser, build_domain_kb, sentences
-from ..machine import SnapMachine, snap1_16cluster
+from ..machine import SnapMachine
 from .common import ExperimentResult, experiment, nlu_config, timed
 
 

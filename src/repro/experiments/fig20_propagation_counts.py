@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..apps.nlu import MemoryBasedParser, NEWSWIRE_PASSAGE, build_domain_kb
-from ..machine import SnapMachine, snap1_16cluster
+from ..machine import SnapMachine
 from .common import ExperimentResult, experiment, nlu_config, timed
 
 

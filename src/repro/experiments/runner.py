@@ -12,31 +12,36 @@ Usage (``python -m repro experiments`` forwards here unchanged)::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional, Sequence
 
-# Importing the modules populates the registry.  The import order is
-# the paper order, which a bare run and --list follow.
-from . import (  # noqa: F401
-    fig06_instruction_profile,
-    fig08_marker_traffic,
-    table04_parse_times,
-    fig15_inheritance,
-    fig16_alpha_speedup,
-    fig17_beta_speedup,
-    fig18_cluster_sweep,
-    fig19_kb_sweep,
-    fig20_propagation_counts,
-    fig21_overheads,
-    textstats_parallelism,
-    scaling_projection,
-    speech_robustness,
-    fault_degradation,
-    overload,
-    chaos,
-    fleetchaos,
-)
 from .common import REGISTRY, ExperimentResult
+
+#: The experiment modules in paper order.  Importing one registers its
+#: experiments, so ``REGISTRY`` -- and a bare run and ``--list`` --
+#: follow this order.
+EXPERIMENT_MODULES = (
+    "fig06_instruction_profile",
+    "fig08_marker_traffic",
+    "table04_parse_times",
+    "fig15_inheritance",
+    "fig16_alpha_speedup",
+    "fig17_beta_speedup",
+    "fig18_cluster_sweep",
+    "fig19_kb_sweep",
+    "fig20_propagation_counts",
+    "fig21_overheads",
+    "textstats_parallelism",
+    "scaling_projection",
+    "speech_robustness",
+    "fault_degradation",
+    "overload",
+    "chaos",
+    "fleetchaos",
+)
+for _module in EXPERIMENT_MODULES:
+    importlib.import_module(f"{__package__}.{_module}")
 
 #: Paper order.
 DEFAULT_ORDER = tuple(REGISTRY)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..apps.nlu import MemoryBasedParser, build_domain_kb, sentences
+from ..apps.nlu import build_domain_kb
 from ..apps.speech import SpeechParser, synthesize_lattice
 from ..machine import SnapMachine
 from .common import ExperimentResult, experiment, nlu_config, timed

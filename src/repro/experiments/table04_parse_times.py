@@ -19,7 +19,7 @@ from ..apps.nlu import (
     MemoryBasedParser,
     build_domain_kb,
 )
-from ..machine import SnapMachine, snap1_16cluster
+from ..machine import SnapMachine
 from .common import ExperimentResult, experiment, fmt_us, nlu_config, timed
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..analysis.parallelism import parallelism_stats
 from ..apps.nlu import MemoryBasedParser, build_domain_kb, sentences
-from ..machine import SnapMachine, snap1_16cluster
+from ..machine import SnapMachine
 from .common import ExperimentResult, experiment, nlu_config, timed
 
 

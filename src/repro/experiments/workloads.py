@@ -15,14 +15,12 @@ independently:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from ..isa.instructions import (
     ClearMarker,
     CollectNode,
     Propagate,
     SearchColor,
-    binary_marker,
     complex_marker,
 )
 from ..isa.program import SnapProgram

@@ -383,8 +383,7 @@ class FleetRouter:
         leg.status = _FRESH if fresh else _STALE
         leg.miss = answer.miss
         leg.results = answer.results
-        if leg.watchdog is not None:
-            self.sim.cancel(leg.watchdog)
+        self._release_leg_watchdog(leg)
         if fresh:
             self._legs_fresh[sid] += 1
         else:
@@ -405,6 +404,7 @@ class FleetRouter:
 
     def _leg_deadline(self, leg: _Leg) -> None:
         """Per-shard deadline: shed the leg, keep the gather going."""
+        leg.watchdog = None
         if leg.status != _PENDING or leg.state.finished:
             return
         self._resolve_leg(leg, _SHED)
@@ -418,8 +418,7 @@ class FleetRouter:
             leg.probing = None
         if leg.region is not None:
             self._legs_by_region[leg.region].discard(leg)
-        if leg.watchdog is not None:
-            self.sim.cancel(leg.watchdog)
+        self._release_leg_watchdog(leg)
         sid = leg.shard_id
         self._legs_shed[sid] += 1
         now = self.sim.now
@@ -436,8 +435,16 @@ class FleetRouter:
         if state.resolved == len(state.legs):
             self._finalize(state, None)
 
+    def _release_leg_watchdog(self, leg: _Leg) -> None:
+        """Cancel a leg's deadline event and drop its handle, so
+        finished legs hold no kernel entries."""
+        if leg.watchdog is not None:
+            self.sim.cancel(leg.watchdog)
+            leg.watchdog = None
+
     def _query_deadline(self, state: _FleetQueryState) -> None:
         """Query deadline: cut pending legs, answer if quorum holds."""
+        state.deadline_event = None
         if state.finished:
             return
         for leg in state.legs:
@@ -449,8 +456,7 @@ class FleetRouter:
                     leg.probing = None
                 if leg.region is not None:
                     self._legs_by_region[leg.region].discard(leg)
-                if leg.watchdog is not None:
-                    self.sim.cancel(leg.watchdog)
+                self._release_leg_watchdog(leg)
                 self._legs_shed[leg.shard_id] += 1
                 if self._tr is not None:
                     self._tr.end(leg.span, self.sim.now, _K_STATUS, _SHED)
@@ -485,6 +491,7 @@ class FleetRouter:
         now = self.sim.now
         if state.deadline_event is not None:
             self.sim.cancel(state.deadline_event)
+            state.deadline_event = None
         fresh = tuple(
             leg.shard_id for leg in state.legs if leg.status == _FRESH
         )

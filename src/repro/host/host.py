@@ -308,8 +308,10 @@ class ServingHost:
     # ------------------------------------------------------------------
     def _on_arrival(self, state: _QueryState) -> None:
         nxt = self._next_arrival
+        arrivals = self._arrivals
+        arrivals[nxt - 1] = None  # this arrival's handle, now fired
         if nxt < self._arrival_count:
-            self.sim.commit(self._arrivals[nxt])
+            self.sim.commit(arrivals[nxt])
             self._next_arrival = nxt + 1
         if self._observed:
             self._trace_arrival(state)
@@ -374,9 +376,11 @@ class ServingHost:
 
     def _release_watchdog(self, state: _QueryState) -> None:
         # Cancelling an already-fired event is a kernel no-op, so no
-        # armed/expired bookkeeping is needed here.
+        # armed/expired bookkeeping is needed here.  A released handle
+        # is dropped, so finished queries hold no kernel entries.
         if state.watchdog is not None:
             self.sim.cancel(state.watchdog)
+            state.watchdog = None
 
     # ------------------------------------------------------------------
     # Observability (every caller is behind a `self._observed` check)
@@ -688,6 +692,7 @@ class ServingHost:
 
     def _maybe_hedge(self, attempt: _Attempt) -> None:
         """The straggler timer fired: re-issue onto a healthy replica."""
+        attempt.hedge_event = None
         state = attempt.state
         if (
             state.terminal
@@ -708,8 +713,10 @@ class ServingHost:
         sim = self.sim
         now = sim.now
         attempt.live = False
+        attempt.completion_event = None
         if attempt.hedge_event is not None:
             sim.cancel(attempt.hedge_event)
+            attempt.hedge_event = None
         try:
             state.in_flight.remove(attempt)
         except ValueError:
@@ -791,6 +798,7 @@ class ServingHost:
         self._finalize(state, _FAILED, replica=replica)
 
     def _on_deadline(self, state: _QueryState) -> None:
+        state.watchdog = None
         if state.terminal:
             return
         if state.queued:
@@ -808,8 +816,10 @@ class ServingHost:
         for attempt in list(state.in_flight):
             attempt.live = False
             self.sim.cancel(attempt.completion_event)
+            attempt.completion_event = None
             if attempt.hedge_event is not None:
                 self.sim.cancel(attempt.hedge_event)
+                attempt.hedge_event = None
             replica = attempt.replica
             replica.busy = False
             replica.serving = None
@@ -843,9 +853,7 @@ class ServingHost:
                 self._run_audit(state, replica, results)
         if self._observed:
             self._note_finalize(state, status, shed_reason)
-        watchdog = state.watchdog
-        if watchdog is not None:
-            self.sim.cancel(watchdog)
+        self._release_watchdog(state)
         now = self.sim.now
         query = state.query
         arrival = query.arrival_us

@@ -14,7 +14,7 @@ set-membership only (Fig. 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Optional, Tuple, Union
 
 from .rules import PropagationRule

@@ -50,10 +50,8 @@ from .sync import (
 )
 from .cluster import (
     ACTIVATION_QUEUE_CAPACITY,
-    BoundedQueue,
     ClusterSim,
     build_clusters,
-    pe_index_of_cluster,
     work_service_time,
 )
 from .report import InstructionTrace, MachineRunReport, OverheadBreakdown
@@ -73,8 +71,8 @@ __all__ = [
     "HypercubeTopology", "IcnStats", "TopologyError", "link_key",
     "SyncError", "SyncPoint", "SyncStats", "TieredSynchronizer",
     "barrier_cost",
-    "ACTIVATION_QUEUE_CAPACITY", "BoundedQueue", "ClusterSim", "build_clusters",
-    "pe_index_of_cluster", "work_service_time",
+    "ACTIVATION_QUEUE_CAPACITY", "ClusterSim", "build_clusters",
+    "work_service_time",
     "InstructionTrace", "MachineRunReport", "OverheadBreakdown",
     "SnapSimulation", "SnapMachine",
 ]

@@ -12,7 +12,7 @@ tolerance band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from ..baselines.serial import SerialMachine
 from ..isa.instructions import (

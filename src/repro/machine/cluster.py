@@ -9,15 +9,14 @@ messages between the marker activation memory and the hypercube ICN
 memories.
 
 The DES maps each unit onto a FIFO server: the PU and CU are single
-servers, the MUs a server pool.  The marker activation memory is a
-capacity-accounted queue so burst pressure (Fig. 8) is observable.
+servers, the MUs a server pool.  The marker activation memory is
+capacity-accounted (occupancy, peak and overflows) so burst pressure
+(Fig. 8) is observable.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import List
 
 from ..core.state import WorkReport
 from .config import MachineConfig, Timing
@@ -47,48 +46,6 @@ ACTIVATION_QUEUE_CAPACITY = 256
 PU_QUEUE_CAPACITY = 64
 
 
-@dataclass
-class BoundedQueue:
-    """Capacity-accounted FIFO for the marker activation memory.
-
-    A single-writer/single-reader queue area (paper §III-A, type-3
-    traffic) needs no arbiter.  The DES records its overflow pressure:
-    the Fig. 8 burst-absorption requirement says that when a burst
-    exceeds buffering, *"the sending processor will be blocked"*.
-    Arbitration of the shared marker memory (type-1 traffic) is not
-    modelled per access; its cost is folded into
-    ``Timing.t_task_overhead``.
-    """
-
-    capacity: int
-    _items: Deque = field(default_factory=deque)
-    peak: int = 0
-    overflows: int = 0
-
-    def push(self, item) -> bool:
-        """Enqueue; returns False (and counts an overflow) when the
-        occupancy exceeds capacity.
-
-        Capacity is *soft*: the item is still queued — on the hardware
-        the sending MU would block until space frees (§II-C), and the
-        simulator surfaces that pressure through the overflow count
-        rather than by dropping markers.
-        """
-        over = len(self._items) >= self.capacity
-        if over:
-            self.overflows += 1
-        self._items.append(item)
-        self.peak = max(self.peak, len(self._items))
-        return not over
-
-    def pop(self):
-        """Dequeue the oldest item; raises IndexError when empty."""
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class ClusterSim:
     """Simulation-side state of one cluster."""
 
@@ -110,8 +67,16 @@ class ClusterSim:
         self.cu = Server(sim, name=f"cu{cluster_id}")
         #: Broadcast instructions awaiting/undergoing PU decode.
         self.instructions_queued = 0
-        #: Marker activation memory occupancy (outbound + forwarded).
-        self.activation_queue = BoundedQueue(ACTIVATION_QUEUE_CAPACITY)
+        #: Marker activation memory: outbound messages awaiting their
+        #: CU DMA, the most ever held, and how often a message arrived
+        #: with :data:`ACTIVATION_QUEUE_CAPACITY` already held.
+        #: Capacity is soft: the message is still held -- on the
+        #: hardware the sending MU would block until space frees
+        #: (§II-C), and the simulator surfaces that pressure through
+        #: the overflow count rather than by dropping markers.
+        self.activation_held = 0
+        self.activation_peak = 0
+        self.activation_overflows = 0
 
     @property
     def idle(self) -> bool:
@@ -133,8 +98,8 @@ class ClusterSim:
             "cu_busy": self.cu.busy_time_until(now),
             "mu_jobs": self.mus.jobs_done,
             "cu_jobs": self.cu.jobs_done,
-            "activation_peak": self.activation_queue.peak,
-            "activation_overflows": self.activation_queue.overflows,
+            "activation_peak": self.activation_peak,
+            "activation_overflows": self.activation_overflows,
         }
         # Only faulty machines carry the extra key, so fault-free
         # reports stay byte-identical to the pre-fault-layer output.
@@ -161,15 +126,3 @@ def build_clusters(
         ClusterSim(sim, cid, mus, config, failed=cid in failed)
         for cid, mus in enumerate(counts)
     ]
-
-
-def pe_index_of_cluster(config: MachineConfig, cluster_id: int) -> int:
-    """Global PE id of a cluster's first unit (for sync reporting).
-
-    PEs are numbered cluster by cluster: PU, MUs..., CU.
-    """
-    counts = config.mu_counts()
-    base = 0
-    for cid in range(cluster_id):
-        base += 2 + counts[cid]
-    return base

@@ -18,8 +18,8 @@ PROPAGATE several hundred µs at path lengths 10–15 (§IV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple, Union
 
 from .faults import FaultConfig
 

@@ -276,25 +276,24 @@ class IcnStats:
     total_hops: int = 0
     hop_histogram: Dict[int, int] = field(default_factory=dict)
     dimension_counts: Dict[str, int] = field(default_factory=dict)
+    #: Sum of per-message latencies, in the order messages were sent.
     total_latency: float = 0.0
 
-    def record_message(
-        self, dimensions: Sequence[str], latency: float
-    ) -> None:
-        """Account one routed message.
+    def add_route(self, dimensions: Sequence[str], messages: int) -> None:
+        """Account ``messages`` messages routed along one path.
 
         ``dimensions`` names the memory of every hop of the *actual*
-        path, so per-message hop totals and per-dimension counts are
-        updated from the same source and can never disagree.
+        path, so hop totals and per-dimension counts are updated from
+        the same source and can never disagree.  The timed machine
+        counts messages per route and adds each route once per run.
         """
         hops = len(dimensions)
-        self.messages += 1
-        self.total_hops += hops
-        self.hop_histogram[hops] = self.hop_histogram.get(hops, 0) + 1
-        self.total_latency += latency
+        self.messages += messages
+        self.total_hops += hops * messages
+        self.hop_histogram[hops] = self.hop_histogram.get(hops, 0) + messages
         counts = self.dimension_counts
         for name in dimensions:
-            counts[name] = counts.get(name, 0) + 1
+            counts[name] = counts.get(name, 0) + messages
 
     @property
     def mean_hops(self) -> float:

@@ -13,8 +13,10 @@ full timing:
    scans, and per-node propagation expansions (α-parallelism);
 4. the **CU** DMAs cross-cluster activation messages into the 4-ary
    hypercube, store-and-forwarding through intermediate CUs;
-5. the **tiered synchronizer** detects propagation termination from
-   per-level produced/consumed counts and charges the barrier cost;
+5. the **tiered synchronizer** detects propagation termination: each
+   PROPAGATE level's count of created minus finished marker processes
+   (the sum its AND-tree forms, see :mod:`repro.machine.sync`) reaching
+   zero fires the barrier, which charges the barrier cost;
 6. an attached tracer (:mod:`repro.obs.tracer`), the counterpart of
    SNAP-1's performance-collection network, records the monitoring
    events; with none attached the run records nothing.
@@ -41,24 +43,23 @@ from ..core.state import (
     ExecutionError,
     MachineState,
     PropagationContext,
-    WorkReport,
 )
 from ..isa.instructions import Category, Instruction, SetColor
 from ..isa.program import SnapProgram
 from ..obs.tracer import get_tracer
 from .cluster import (
+    ACTIVATION_QUEUE_CAPACITY,
     PU_QUEUE_CAPACITY,
     ClusterSim,
     build_clusters,
-    pe_index_of_cluster,
     work_service_time,
 )
 from .config import MachineConfig
 from .des import Job, Server, ServerPool, Simulator, Timeout
 from .faults import FaultInjector
 from .icn import HypercubeTopology
-from .report import InstructionTrace, MachineRunReport, OverheadBreakdown
-from .sync import SyncStats, TieredSynchronizer, barrier_cost
+from .report import InstructionTrace, MachineRunReport
+from .sync import barrier_cost
 
 
 #: Category key of every propagation-time charge.
@@ -88,6 +89,8 @@ class _InstrState:
     writes: FrozenSet[int]
     clusters_remaining: int = 0
     scan_done: bool = False
+    #: Marker processes (arrival tasks and messages in transit) not
+    #: finished yet: the level's tiered-synchronizer count.
     pending: int = 0
     ctx: Optional[PropagationContext] = None
     collected: List[Any] = field(default_factory=list)
@@ -158,7 +161,6 @@ class SnapSimulation:
         self.alive_clusters: List[ClusterSim] = [
             c for c in self.clusters if not c.failed
         ]
-        self.syncer = TieredSynchronizer(config.total_pes)
         self.report = MachineRunReport(
             num_clusters=config.num_clusters,
             total_pes=config.total_pes,
@@ -189,19 +191,33 @@ class SnapSimulation:
         #: Clusters whose PU instruction queue is at capacity.
         self._full_queues = 0
         #: Transport per ``src * num_clusters + dest`` (see
-        #: :meth:`_route_entry`) under the current fault state; a fault
-        #: event that changes routing switches tables.
+        #: :meth:`_route_entry`) per fault state, shared across runs.
         self._route_tables = route_tables if route_tables is not None else {}
-        self._transport = self._route_table()
+        #: This run's routes per fault state (see :meth:`_open_route`),
+        #: and every route in the order this run first used it.
+        self._run_routes: Dict[Any, Dict[int, List[Any]]] = {}
+        self._routes_used: List[List[Any]] = []
+        self._switch_routes()
         self._num_clusters = config.num_clusters
         self._pack = config.pack_messages
+        #: Messages sent, and sent by the last barrier (Fig. 8 series).
+        self._sent = 0
+        self._sent_at_barrier = 0
+        #: Float sums of the message path, folded into the report when
+        #: the run ends (see :meth:`_fold_traffic`); each adds its terms
+        #: in the order the messages were sent.
+        self._icn_latency = 0.0
+        self._communication = 0.0
         #: The report's per-category busy time (see :meth:`_attribute`).
         self._category_busy = self.report.category_busy_us
         self._traces: Dict[int, InstructionTrace] = {}
-        self._pe_of_cluster = [
-            pe_index_of_cluster(config, cid)
-            for cid in range(config.num_clusters)
-        ]
+        timing = self.timing
+        #: An arrival task's service-time terms (see :meth:`_arrival_job`).
+        self._arrival_timing = (
+            timing.t_task_overhead + timing.t_node_visit, timing.t_slot_scan,
+            timing.t_marker_set, timing.t_fp_op, timing.t_msg_write,
+        )
+        self._deliver = state.deliver
         # Observability.  `self._tr is None` is the only check hot
         # paths pay when tracing is off (NULL_TRACER default); all
         # track allocation happens here, up front.  `trace_offset_us`
@@ -258,6 +274,7 @@ class SnapSimulation:
             self._run_observed(budget_us)
         else:
             self.sim.run(until=budget_us)
+        self._fold_traffic()
         incomplete = self._in_flight or self._pc < len(program)
         if incomplete and budget_us is not None:
             self.report.aborted = True
@@ -315,6 +332,19 @@ class SnapSimulation:
         tr.end(span, off + sim.now, ("events",),
                sim.events_processed - before)
         sample(sim.heap_size, sim.pending)
+
+    def _fold_traffic(self) -> None:
+        """Fold the message path's per-route counts and float sums into
+        the report: integer counts per route in first-use order (so
+        the report's dicts fill in the order single messages would
+        fill them), the float sums as accumulated in send order."""
+        icn = self.report.icn_stats
+        for _path, _latency, messages, dimensions, _rerouted in (
+                self._routes_used):
+            if messages:
+                icn.add_route(dimensions, messages)
+        icn.total_latency = self._icn_latency
+        self.report.overheads.communication = self._communication
 
     def _feed_metrics(self) -> None:
         """Fold the finished run's report into the metrics registry.
@@ -408,7 +438,7 @@ class SnapSimulation:
             self.alive_clusters = [
                 c for c in self.clusters if not c.failed
             ]
-            self._transport = self._route_table()
+            self._switch_routes()
         if event.kind in ("mu-fail", "mu-repair"):
             cid = event.cluster
             count = faults.current_mu_counts[cid]
@@ -681,10 +711,15 @@ class SnapSimulation:
         seeds, work = self.state.seeds(ctx, cid)
         local_out: List[Arrival] = []
         remote_out: List[Arrival] = []
+        deliver = self._deliver
         for seed in seeds:
-            seed_local, seed_remote = self.state.expand(ctx, seed, work)
-            local_out.extend(seed_local)
-            remote_out.extend(seed_remote)
+            seed_local, seed_remote, slots, fp_ops = deliver(
+                ctx, seed, seed=True)
+            work.slots += slots
+            work.fp_ops += fp_ops
+            work.messages += len(seed_remote)
+            local_out += seed_local
+            remote_out += seed_remote
         st.work_ops += work.total()
         service = work_service_time(work, self.timing)
         self._attribute(Category.PROPAGATE, service)
@@ -712,24 +747,23 @@ class SnapSimulation:
             self._send_message(st, cid, arrival)
         self._cluster_task_done(st)
 
-    def _prepare_arrival(
-        self, st: _InstrState, arrival: Arrival, pe: int
-    ) -> Job:
-        """Deliver a marker at its destination node (one MU task)."""
-        ctx = st.ctx
-        state = self.state
-        work = WorkReport()
-        if state.deliver(ctx, arrival, work):
-            local_out, remote_out = state.expand(ctx, arrival, work)
-        else:
-            local_out = remote_out = ()
-        st.work_ops += work.total()
-        service = work_service_time(work, self.timing)
-        busy = self._category_busy
-        busy[_PROPAGATE] = busy.get(_PROPAGATE, 0.0) + service
-        cid = arrival.cluster
+    def _arrival_job(self, st: _InstrState, arrival: Arrival) -> Job:
+        """Deliver a marker at its destination node (one MU task).
+
+        The task's service time is :func:`work_service_time` of its
+        work, summed term by term in the same order: no status words
+        or link writes, one node visit and one marker set.
+        """
+        local_out, remote_out, slots, fp_ops = self._deliver(st.ctx, arrival)
+        messages = len(remote_out)
+        base, t_slot, t_set, t_fp, t_msg = self._arrival_timing
+        service = (base + slots * t_slot + t_set + fp_ops * t_fp
+                   + messages * t_msg)
+        st.work_ops += 2 + slots + fp_ops + messages
+        self._category_busy[_PROPAGATE] += service
+        cid = arrival[0]
         job = (service, None, self._arrival_done,
-               (st, cid, pe, local_out, remote_out))
+               (st, cid, local_out, remote_out))
         if self._tr is not None:
             job = self._traced_mu_job(cid, job)
         return job
@@ -741,22 +775,17 @@ class SnapSimulation:
 
         Delivery/expansion side effects run in arrival order and
         ``submit_batch`` preserves per-job enqueue order, so the event
-        trace is identical to N sequential submissions.  The cluster
-        reports the N process creations to the synchronizer at once.
+        trace is identical to N sequential submissions.
         """
-        pe = self._pe_of_cluster[cid]
-        batch: List[Job] = []
-        for arrival in arrivals:
-            batch.append(self._prepare_arrival(st, arrival, pe))
+        job = self._arrival_job
+        batch = [job(st, arrival) for arrival in arrivals]
         st.pending += len(batch)
-        self.syncer.produce(pe, st.index, len(batch))
         self.clusters[cid].mus.submit_batch(batch)
 
     def _arrival_done(
         self,
         st: _InstrState,
         cid: int,
-        pe: int,
         local_out: Sequence[Arrival],
         remote_out: Sequence[Arrival],
     ) -> None:
@@ -764,7 +793,6 @@ class SnapSimulation:
             self._spawn_arrivals(st, cid, local_out)
         for arrival in remote_out:
             self._send_message(st, cid, arrival)
-        self.syncer.consume(pe, st.index)
         st.pending -= 1
         if not st.pending:
             self._check_propagate_done(st)
@@ -775,25 +803,24 @@ class SnapSimulation:
         Values come back bfloat16-truncated exactly as on the hardware.
         """
         ctx = st.ctx
+        cluster, local, state, value, origin, hops = arrival
         msg = ActivationMessage(
-            ctx.instr.marker2, arrival.value, 0, ctx.rule, arrival.state,
-            arrival.cluster, arrival.local, arrival.origin,
-            arrival.level, arrival.hops,
+            ctx.marker, value, 0, ctx.rule, state, cluster, local, origin,
+            ctx.level, hops,
         )
         msg = unpack(msg.pack([ctx.rule]), [ctx.rule],
-                     level=arrival.level, hops=arrival.hops)
-        return Arrival(msg.dest_cluster, msg.dest_local, msg.state,
-                       msg.value, msg.origin, msg.level, msg.hops)
+                     level=ctx.level, hops=hops)
+        return (msg.dest_cluster, msg.dest_local, msg.state, msg.value,
+                msg.origin, msg.hops)
 
-    def _route_table(self) -> Dict[int, Tuple]:
-        """The transport table of the current fault state."""
+    def _switch_routes(self) -> None:
+        """Select the transport and run route tables of the current
+        fault state."""
         key = None if self.faults is None else (
             self.faults.blocked_clusters, self.faults.blocked_links
         )
-        table = self._route_tables.get(key)
-        if table is None:
-            table = self._route_tables[key] = {}
-        return table
+        self._transport = self._route_tables.setdefault(key, {})
+        self._routes = self._run_routes.setdefault(key, {})
 
     def _route_entry(self, src: int, dest: int) -> Tuple:
         """``(path, hop dimensions, latency, rerouted)`` from ``src``.
@@ -829,16 +856,32 @@ class SnapSimulation:
         return (tuple(path), topology.path_dimensions(src, path), latency,
                 rerouted)
 
-    def _send_message(self, st: _InstrState, src: int, arrival: Arrival) -> None:
-        """Transport a remote marker delivery across the hypercube."""
-        if self._pack:
-            arrival = self._wire_round_trip(st, arrival)
-        dest = arrival.cluster
-        key = src * self._num_clusters + dest
+    def _open_route(self, src: int, dest: int, key: int) -> List[Any]:
+        """This run's route record for a pair under the current fault
+        state: ``[path, latency, messages, dimensions, rerouted]``.
+
+        The message count grows per message sent; the hop and
+        dimension counts it stands for are folded into the report when
+        the run ends (:meth:`_fold_traffic`).
+        """
         entry = self._transport.get(key)
         if entry is None:
             entry = self._transport[key] = self._route_entry(src, dest)
         path, dimensions, latency, rerouted = entry
+        route = self._routes[key] = [path, latency, 0, dimensions, rerouted]
+        self._routes_used.append(route)
+        return route
+
+    def _send_message(self, st: _InstrState, src: int, arrival: Arrival) -> None:
+        """Transport a remote marker delivery across the hypercube."""
+        if self._pack:
+            arrival = self._wire_round_trip(st, arrival)
+        dest = arrival[0]
+        key = src * self._num_clusters + dest
+        route = self._routes.get(key)
+        if route is None:
+            route = self._open_route(src, dest, key)
+        path = route[0]
         if path is None:
             # No surviving route: the marker simply never arrives
             # (graceful degradation — accuracy, not correctness).
@@ -850,7 +893,7 @@ class SnapSimulation:
                     ("src", "dest"), src, dest,
                 )
             return
-        if rerouted:
+        if route[4]:
             self.faults.stats.messages_rerouted += 1
             if self._tr is not None:
                 self._tr.instant(
@@ -858,32 +901,32 @@ class SnapSimulation:
                     self._off + self.sim.now,
                     ("src", "dest", "hops"), src, dest, len(path),
                 )
+        latency = route[1]
+        route[2] += 1
         st.pending += 1
         st.messages += 1
-        pe = self._pe_of_cluster[src]
-        self.syncer.produce(pe, st.index)
-        report = self.report
-        report.sync_stats.count_message()
-        # One atomic stats update per message: the hop count and the
-        # per-dimension counts come from the same (cached) path, so
-        # they can never disagree.
-        report.icn_stats.record_message(dimensions, latency)
-        report.overheads.communication += latency
-        busy = self._category_busy
-        busy[_PROPAGATE] = busy.get(_PROPAGATE, 0.0) + latency
+        self._sent += 1
+        self._icn_latency += latency
+        self._communication += latency
+        self._category_busy[_PROPAGATE] += latency
         if self._tr is not None:
             ts = self._off + self.sim.now
             self._tr.instant(
                 self._tk_cluster[src], "msg-send", ts,
                 _K_MSG_SEND, dest, len(path), st.index, latency,
             )
-            self._tr.counter(
-                self._tk_icn, "messages", ts,
-                report.icn_stats.messages,
-            )
+            self._tr.counter(self._tk_icn, "messages", ts, self._sent)
 
-        source_cluster = self.clusters[src]
-        source_cluster.activation_queue.push(arrival)
+        # The message waits in the source's marker activation memory
+        # until its CU DMA completes.
+        source = self.clusters[src]
+        held = source.activation_held
+        if held >= ACTIVATION_QUEUE_CAPACITY:
+            source.activation_overflows += 1
+        held += 1
+        source.activation_held = held
+        if held > source.activation_peak:
+            source.activation_peak = held
         # Per-transfer recovery record, carried hop to hop.  Created
         # only when corruption is possible, so the fault-free (and the
         # corruption-free faulty) transport path is untouched.
@@ -892,91 +935,95 @@ class SnapSimulation:
             rec = {"attempts": 0, "alive": True, "watchdog": None, "src": src}
 
         job = (self.timing.t_cu_dma, None, self._launch_message,
-               (st, pe, arrival, path, rec, source_cluster))
+               (st, arrival, path, rec, source))
         if self._tr is not None:
             job = self._traced_span_job(
                 self._tk_cu[src], f"dma #{st.index}", job
             )
-        source_cluster.cu.submit(job)
+        source.cu.submit(job)
 
     def _launch_message(
         self,
         st: _InstrState,
-        producer_pe: int,
         arrival: Arrival,
         path: Tuple[int, ...],
         rec: Optional[Dict[str, Any]],
-        source_cluster: ClusterSim,
+        source: ClusterSim,
     ) -> None:
-        """Source CU DMA done: the message leaves the activation memory."""
-        source_cluster.activation_queue.pop()
-        self._advance_message(st, producer_pe, arrival, path, 0, rec)
-
-    def _advance_message(
-        self,
-        st: _InstrState,
-        producer_pe: int,
-        arrival: Arrival,
-        path: Tuple[int, ...],
-        hop_index: int,
-        rec: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Start the wire transfer of hop ``hop_index``."""
-        if not path:
-            # Destination is the source cluster (can happen only when a
-            # packed message round-trips); deliver directly.
-            self._deliver_message(st, producer_pe, arrival)
-            return
-        self.sim.schedule(
-            self.timing.t_hop,
-            self._after_wire, st, producer_pe, arrival, path, hop_index, rec,
-        )
+        """Source CU DMA done: the message leaves the activation memory
+        and its first hop's wire transfer starts."""
+        source.activation_held -= 1
+        self.sim.schedule(self.timing.t_hop, self._after_wire,
+                          st, arrival, path, 0, rec)
 
     def _after_wire(
         self,
         st: _InstrState,
-        producer_pe: int,
         arrival: Arrival,
         path: Tuple[int, ...],
         hop_index: int,
         rec: Optional[Dict[str, Any]],
     ) -> None:
-        """The wire transfer of one hop finished."""
+        """The wire transfer of one hop finished: forward the message,
+        or deliver it at its destination cluster."""
         if rec is not None:
             if not rec["alive"]:
                 # The recovery watchdog already declared this
                 # transfer lost; drop the stale wire event.
                 return
-            if self.faults is not None and self.faults.transfer_corrupted():
+            if self.faults.transfer_corrupted():
                 # Parity caught a corrupted transfer on this hop:
                 # retry the hop after a backoff instead of
                 # delivering poisoned data.
-                self._retry_hop(st, producer_pe, arrival, path, hop_index, rec)
+                self._retry_hop(st, arrival, path, hop_index, rec)
                 return
-        if hop_index == len(path) - 1:
-            if rec is not None and rec["watchdog"] is not None:
-                watchdog = rec["watchdog"]
-                if watchdog.armed:
-                    watchdog.cancel()
-            self._deliver_message(st, producer_pe, arrival)
-        else:
+        if hop_index != len(path) - 1:
             # Store and forward: once the intermediate CU has forwarded
             # the message, the next hop's wire transfer starts.
             target = path[hop_index]
-            forwarder = self.clusters[target]
             job = (self.timing.t_forward, None, self.sim.schedule,
-                   (self.timing.t_hop, self._after_wire, st, producer_pe,
-                    arrival, path, hop_index + 1, rec))
+                   (self.timing.t_hop, self._after_wire, st, arrival, path,
+                    hop_index + 1, rec))
             if self._tr is not None:
                 job = self._traced_span_job(
                     self._tk_cu[target], f"fwd #{st.index}", job
                 )
-            forwarder.cu.submit(job)
+            self.clusters[target].cu.submit(job)
+            return
+        if rec is not None and rec["watchdog"] is not None:
+            watchdog = rec["watchdog"]
+            if watchdog.armed:
+                watchdog.cancel()
+        cid = arrival[0]
+        if self._drops_possible and self.faults.marker_dropped():
+            # Gray failure: the marker vanishes at the destination NIC
+            # without any CRC trip or timeout.  Sync counters still
+            # balance (the barrier sees a consume), so the propagation
+            # "completes" with silently missing activation — invisible
+            # to query_visible_failures, caught only by the host's
+            # answer-integrity audit.
+            self.faults.stats.markers_dropped += 1
+            if self._tr is not None:
+                self._tr.instant(
+                    self._tk_faults, "marker-dropped",
+                    self._off + self.sim.now,
+                    ("instr", "dest"), st.index, cid,
+                )
+            st.pending -= 1
+            self._check_propagate_done(st)
+            return
+        if self._tr is not None:
+            self._tr.instant(
+                self._tk_cluster[cid], "msg-recv",
+                self._off + self.sim.now, _K_MSG_RECV, st.index, arrival[5],
+            )
+        # The message's pending count passes to the arrival task it
+        # becomes, so the level cannot complete here.
+        self.clusters[cid].mus.submit(self._arrival_job(st, arrival))
 
     def _retry_hop(
         self,
         st: _InstrState,
-        producer_pe: int,
         arrival: Arrival,
         path: Tuple[int, ...],
         hop_index: int,
@@ -992,14 +1039,14 @@ class SnapSimulation:
                 watchdog.cancel()
             rec["alive"] = False
             self.faults.stats.transfer_failures += 1
-            self._message_lost(st, producer_pe, arrival, rec["src"])
+            self._message_lost(st, arrival, rec["src"])
             return
         self.faults.stats.transfer_retries += 1
         if self._tr is not None:
             self._tr.instant(
                 self._tk_faults, "transfer-retry",
                 self._off + self.sim.now, ("attempt", "src", "dest"),
-                rec["attempts"], rec["src"], arrival.cluster,
+                rec["attempts"], rec["src"], arrival[0],
             )
         if rec["watchdog"] is None:
             # First corruption of this transfer arms the timeout
@@ -1007,24 +1054,23 @@ class SnapSimulation:
             # every retry keeps getting corrupted.
             rec["watchdog"] = Timeout(
                 self.sim, policy.timeout_budget_us,
-                self._transfer_timed_out, st, producer_pe, arrival, rec,
+                self._transfer_timed_out, st, arrival, rec,
             )
         backoff = policy.backoff(rec["attempts"] - 1)
         self.faults.stats.retry_time_us += backoff
         # The retry costs the backoff wait plus the re-sent wire hop
-        # (the wait is scheduled here; _advance_message re-schedules
-        # the hop itself).
-        self.report.overheads.communication += backoff + self.timing.t_hop
+        # (the wait is scheduled here; the hop after it).
+        self._communication += backoff + self.timing.t_hop
         self._attribute(Category.PROPAGATE, backoff + self.timing.t_hop)
         self.sim.schedule(
-            backoff,
-            self._advance_message, st, producer_pe, arrival, path, hop_index, rec,
+            backoff, self.sim.schedule,
+            self.timing.t_hop, self._after_wire, st, arrival, path,
+            hop_index, rec,
         )
 
     def _transfer_timed_out(
         self,
         st: _InstrState,
-        producer_pe: int,
         arrival: Arrival,
         rec: Dict[str, Any],
     ) -> None:
@@ -1036,66 +1082,27 @@ class SnapSimulation:
             self._tr.instant(
                 self._tk_faults, "transfer-timeout",
                 self._off + self.sim.now,
-                ("src", "dest"), rec["src"], arrival.cluster,
+                ("src", "dest"), rec["src"], arrival[0],
             )
-        self._message_lost(st, producer_pe, arrival, rec["src"])
+        self._message_lost(st, arrival, rec["src"])
 
     def _message_lost(
-        self,
-        st: _InstrState,
-        producer_pe: int,
-        arrival: Arrival,
-        src: int,
+        self, st: _InstrState, arrival: Arrival, src: int
     ) -> None:
         """Give up on a transfer; queue it for checkpoint replay.
 
-        The synchronizer still sees a consume — the transfer is
-        *accounted for*, just unsuccessful — so the propagation barrier
-        can fire and decide whether to replay from the checkpoint.
+        The level's count still drops — the transfer is *accounted
+        for*, just unsuccessful — so the propagation barrier can fire
+        and decide whether to replay from the checkpoint.
         """
         if self._tr is not None:
             self._tr.instant(
                 self._tk_faults, "msg-lost", self._off + self.sim.now,
-                ("src", "dest", "instr"), src, arrival.cluster, st.index,
+                ("src", "dest", "instr"), src, arrival[0], st.index,
             )
         st.lost.append((src, arrival))
-        self.syncer.consume(producer_pe, st.index)
         st.pending -= 1
         self._check_propagate_done(st)
-
-    def _deliver_message(
-        self, st: _InstrState, producer_pe: int, arrival: Arrival
-    ) -> None:
-        if self._drops_possible and self.faults.marker_dropped():
-            # Gray failure: the marker vanishes at the destination NIC
-            # without any CRC trip or timeout.  Sync counters still
-            # balance (the barrier sees a consume), so the propagation
-            # "completes" with silently missing activation — invisible
-            # to query_visible_failures, caught only by the host's
-            # answer-integrity audit.
-            self.faults.stats.markers_dropped += 1
-            if self._tr is not None:
-                self._tr.instant(
-                    self._tk_faults, "marker-dropped",
-                    self._off + self.sim.now,
-                    ("instr", "dest"), st.index, arrival.cluster,
-                )
-            self.syncer.consume(producer_pe, st.index)
-            st.pending -= 1
-            self._check_propagate_done(st)
-            return
-        if self._tr is not None:
-            self._tr.instant(
-                self._tk_cluster[arrival.cluster], "msg-recv",
-                self._off + self.sim.now, _K_MSG_RECV, st.index, arrival.hops,
-            )
-        # The message's pending count passes to the arrival task it
-        # becomes, so the level cannot complete here.
-        cid = arrival.cluster
-        pe = self._pe_of_cluster[cid]
-        self.syncer.produce(pe, st.index)
-        self.clusters[cid].mus.submit(self._prepare_arrival(st, arrival, pe))
-        self.syncer.consume(producer_pe, st.index)
 
     def _check_propagate_done(self, st: _InstrState) -> None:
         if st.completed or not st.scan_done or st.pending > 0:
@@ -1128,11 +1135,6 @@ class SnapSimulation:
                 self.faults.stats.messages_lost += len(st.lost)
                 st.lost.clear()
         st.completed = True
-        # Tiered protocol check: this level's counters must balance.
-        if self.syncer.level_balance(st.index) != 0:
-            raise RuntimeError(
-                f"tiered sync counters unbalanced for instruction {st.index}"
-            )
         cost = barrier_cost(
             self.cfg.total_pes,
             self.timing.t_sync_base,
@@ -1140,13 +1142,15 @@ class SnapSimulation:
         )
         self.report.overheads.synchronization += cost
         self._attribute(Category.PROPAGATE, cost)
-        self.syncer.reset_level(st.index)
         if self._tr is not None and st.span is not None:
             self._trace_phase(st, "barrier")
         self.sim.schedule(cost, self._barrier_done, st)
 
     def _barrier_done(self, st: _InstrState) -> None:
-        self.report.sync_stats.barrier(self.sim.now, st.index)
+        sync_stats = self.report.sync_stats
+        sync_stats.count_message(self._sent - self._sent_at_barrier)
+        self._sent_at_barrier = self._sent
+        sync_stats.barrier(self.sim.now, st.index)
         self._complete(st)
 
     # ------------------------------------------------------------------

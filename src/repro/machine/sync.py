@@ -11,8 +11,10 @@ Tiering (one counter per overlapped propagation level) prevents false
 detection when several PROPAGATE instructions are in flight.
 
 :class:`TieredSynchronizer` implements the protocol exactly (per-PE,
-per-level counters); :class:`SyncStats` records the message count at
-each barrier, which is the data series of Fig. 8.
+per-level counters).  The timed machine keeps only what the barrier
+tests, each level's global sum: its count of marker processes not
+finished yet.  :class:`SyncStats` records the message count at each
+barrier, which is the data series of Fig. 8.
 """
 
 from __future__ import annotations

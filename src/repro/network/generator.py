@@ -15,10 +15,10 @@ every experiment is reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .builder import KnowledgeBaseBuilder, preprocess_fanout
+from .builder import KnowledgeBaseBuilder
 from .graph import SemanticNetwork
 from .node import Color
 

@@ -10,9 +10,9 @@ relation slots (splitting large nodes into subnode chains, paper
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from .node import Color, Link, Node, NodeError
+from .node import Color, Link, Node
 from .relation import RelationRegistry
 
 NodeRef = Union[int, str, Node]
@@ -152,6 +152,12 @@ class SemanticNetwork:
         """Name of a node by id, without resolving a reference (hot
         retrieval path; ``nid`` must be a valid id)."""
         return self._nodes[nid].name
+
+    def names_of(self, nids: Iterable[int]) -> List[str]:
+        """Names of many nodes by id, in order (COLLECT-NODE's
+        retrieval path; every id must be valid)."""
+        nodes = self._nodes
+        return [nodes[nid].name for nid in nids]
 
     def __contains__(self, ref: NodeRef) -> bool:
         if isinstance(ref, Node):

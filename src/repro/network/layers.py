@@ -16,7 +16,7 @@ only link upward).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .graph import SemanticNetwork
 from .node import Color

@@ -8,7 +8,7 @@ Dynamic state (markers) lives in the machine tables, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 #: Number of node colors (8-bit field, paper Fig. 4).

@@ -29,7 +29,7 @@ user-visible error rates flat while a replica is dark.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .windows import WindowSnapshot

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.state import Arrival, MachineState, WorkReport
+from repro.core.state import MachineState, WorkReport
 from repro.isa import (
     CONDITIONS,
     STANDARD_COMBINE_FUNCTIONS,
@@ -176,10 +176,10 @@ def oracle_seeds(state, ctx, cid):
     work = WorkReport(words=tables.status.num_words)
     out = []
     for lid in _marked(tables, instr.marker1):
-        out.append(Arrival(
+        out.append((
             cid, lid, ctx.rule.initial_state,
             tables.node_table.get_value(lid, instr.marker1),
-            tables.to_global[lid], ctx.level, 0,
+            tables.to_global[lid], 0,
         ))
         work.nodes += 1
     ctx.alpha += len(out)

@@ -1,35 +1,36 @@
-"""Marker activation memory: the capacity-accounted cluster queue."""
+"""Marker activation memory: the capacity-accounted outbound message store."""
 
-import pytest
+from repro.isa import assemble
+from repro.machine import ACTIVATION_QUEUE_CAPACITY, MachineConfig, SnapMachine
+from repro.network.graph import SemanticNetwork
 
-from repro.machine import BoundedQueue
+
+def star_report(leaves: int):
+    """One seed scan on a 2-cluster machine emits every remote arrival
+    of a hub with ``leaves`` links at once (round-robin placement puts
+    the hub, id 0, on cluster 0 and the odd-numbered leaves on 1)."""
+    network = SemanticNetwork()
+    network.add_node("hub")
+    for index in range(leaves):
+        network.add_node(f"leaf{index}")
+        network.add_link("hub", "has", f"leaf{index}", 1.0)
+    machine = SnapMachine(network, MachineConfig(num_clusters=2))
+    report = machine.run(assemble(
+        "SEARCH-NODE hub b0\nPROPAGATE b0 b1 chain(has)\nCOLLECT-NODE b1\n"
+    ))
+    assert len(report.results()[0]) == leaves
+    return report.cluster_busy[0], (leaves + 1) // 2
 
 
-class TestBoundedQueue:
-    def test_fifo(self):
-        queue = BoundedQueue(capacity=4)
-        queue.push("a")
-        queue.push("b")
-        assert queue.pop() == "a"
-        assert queue.pop() == "b"
+class TestActivationMemory:
+    def test_peak_tracking(self):
+        hub, remote = star_report(40)
+        assert hub["activation_peak"] == remote
+        assert hub["activation_overflows"] == 0
 
     def test_soft_capacity_counts_overflow(self):
-        queue = BoundedQueue(capacity=2)
-        assert queue.push(1) is True
-        assert queue.push(2) is True
-        assert queue.push(3) is False   # over capacity, still queued
-        assert queue.overflows == 1
-        assert len(queue) == 3
-        assert queue.pop() == 1
-
-    def test_peak_tracking(self):
-        queue = BoundedQueue(capacity=10)
-        for i in range(5):
-            queue.push(i)
-        for _ in range(5):
-            queue.pop()
-        assert queue.peak == 5
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(IndexError):
-            BoundedQueue(capacity=1).pop()
+        hub, remote = star_report(2 * ACTIVATION_QUEUE_CAPACITY + 20)
+        # Over capacity, every message is still held and sent.
+        assert hub["activation_peak"] == remote
+        assert (hub["activation_overflows"]
+                == remote - ACTIVATION_QUEUE_CAPACITY)

@@ -307,18 +307,19 @@ class TestRouteAvoiding:
 class TestStats:
     def test_record_and_means(self):
         stats = IcnStats()
-        stats.record_message(("L",), 2.0)
-        stats.record_message(("L", "X", "Y"), 4.0)
-        assert stats.messages == 2
-        assert stats.mean_hops == 2.0
+        stats.add_route(("L",), 3)
+        stats.add_route(("L", "X", "Y"), 1)
+        stats.total_latency = 12.0
+        assert stats.messages == 4
+        assert stats.mean_hops == 1.5
         assert stats.mean_latency == 3.0
-        assert stats.hop_histogram == {1: 1, 3: 1}
+        assert stats.hop_histogram == {1: 3, 3: 1}
 
     def test_dimension_counting(self):
         stats = IcnStats()
-        stats.record_message(("L", "L", "X"), 1.0)
-        assert stats.dimension_counts == {"L": 2, "X": 1}
-        assert stats.to_json()["dimension_counts"] == {"L": 2, "X": 1}
+        stats.add_route(("L", "L", "X"), 2)
+        assert stats.dimension_counts == {"L": 4, "X": 2}
+        assert stats.to_json()["dimension_counts"] == {"L": 4, "X": 2}
 
     def test_empty_stats(self):
         stats = IcnStats()
